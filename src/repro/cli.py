@@ -773,6 +773,17 @@ def _cmd_cluster_start(args: argparse.Namespace) -> int:
             trace_sample_rate=args.trace_sample_rate,
             audit_dir=args.audit_dir,
         )
+        # Signal handlers go in before the first worker is forked: a
+        # SIGTERM that found the default disposition would kill the
+        # supervisor mid-start and orphan every worker already up.  A
+        # signal during start-up lets it finish, then drains at once.
+        stop = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        try:
+            loop.add_signal_handler(signal.SIGTERM, stop.set)
+            loop.add_signal_handler(signal.SIGINT, stop.set)
+        except (NotImplementedError, RuntimeError):
+            pass
         await supervisor.start()
         admin = ClusterAdminServer(
             supervisor, host=args.host, port=args.admin_port
@@ -808,13 +819,6 @@ def _cmd_cluster_start(args: argparse.Namespace) -> int:
                 f"{worker['port']} (admin {worker['admin_port']})",
                 flush=True,
             )
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        try:
-            loop.add_signal_handler(signal.SIGTERM, stop.set)
-            loop.add_signal_handler(signal.SIGINT, stop.set)
-        except (NotImplementedError, RuntimeError):
-            pass
         stop_wait = loop.create_task(stop.wait())
         drain_wait = loop.create_task(admin.drain_requested.wait())
         try:

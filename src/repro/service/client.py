@@ -1,12 +1,15 @@
 """Async TCP client for a remote PDP (NDJSON, plus the binary lane).
 
 :class:`RemotePDPClient` keeps one connection and pipelines: each
-in-flight request is tracked by id in a pending-future table, a single
-reader task dispatches responses as they arrive (they may be
-reordered by the server — cache hits overtake batched work), and any
-number of callers can await decisions concurrently.  The surface
-mirrors the in-process :class:`~repro.service.pdp.PDPClient` so load
-generators and examples can target either transparently.
+in-flight request is tracked by id in a pending-future table, the
+connection's protocol dispatches every response a read delivered as it
+arrives (they may be reordered by the server — cache hits overtake
+batched work), and any number of callers can await decisions
+concurrently.  Requests sent in one loop turn leave in one socket
+write; a sender waits only while the transport has paused writing.
+The surface mirrors the in-process
+:class:`~repro.service.pdp.PDPClient` so load generators and examples
+can target either transparently.
 
 ``wire="binary"`` adds the interned-ID fast lane of
 :mod:`repro.service.protocol`: the client runs the ``intern``
@@ -26,7 +29,6 @@ from repro.core.decision import AccessRequest
 from repro.exceptions import ServiceError
 from repro.obs.trace import TraceContext
 from repro.service.protocol import (
-    BINARY_MAGIC,
     KIND_ERROR,
     KIND_RESPONSE,
     KIND_REVOKE,
@@ -43,8 +45,8 @@ from repro.service.protocol import (
     encode_binary_request,
     encode_request,
     parse_line,
-    read_frame_tail,
 )
+from repro.service.transport import WireConnection
 
 
 class RemotePDPClient:
@@ -63,21 +65,19 @@ class RemotePDPClient:
     on the same connection.
     """
 
-    def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        wire: str = "json",
-    ) -> None:
+    def __init__(self, wire: str = "json") -> None:
         if wire not in ("json", "binary"):
             raise ServiceError(f"unknown wire format {wire!r}")
         self.wire = wire
-        self._reader = reader
-        self._writer = writer
+        self._loop = asyncio.get_running_loop()
+        self._link = _Link(self)
+        #: Resolves when the transport is gone (see :meth:`close`).
+        self._lost: "asyncio.Future[None]" = self._loop.create_future()
         self._ids = itertools.count(1)
         self._pending: Dict[Any, "asyncio.Future[Any]"] = {}
-        self._write_lock = asyncio.Lock()
         self._closed = False
+        #: Why the connection ended, once it has.
+        self._failure: Optional[Exception] = None
         self._tables: Optional[InternTables] = None
         #: Unsolicited grant withdrawals received on this connection,
         #: oldest first (continuous authorization; see
@@ -86,20 +86,13 @@ class RemotePDPClient:
         self._revocation_handlers: List[
             Callable[[WireRevocation], None]
         ] = []
-        self._reader_task = asyncio.get_running_loop().create_task(
-            self._read_loop()
-        )
 
     @classmethod
     async def connect(
         cls, host: str, port: int, wire: str = "json"
     ) -> "RemotePDPClient":
-        # The read limit is the op-response cap: a metrics exposition
-        # line is much larger than any decision response.
-        reader, writer = await asyncio.open_connection(
-            host, port, limit=MAX_OP_LINE_BYTES
-        )
-        client = cls(reader, writer, wire=wire)
+        client = cls(wire=wire)
+        await client._loop.create_connection(lambda: client._link, host, port)
         if wire == "binary":
             await client.intern()
         return client
@@ -138,9 +131,9 @@ class RemotePDPClient:
     def subscribe(self, handler: Callable[[WireRevocation], None]) -> None:
         """Register a callback for pushed grant revocations.
 
-        ``handler(revocation)`` runs on the reader task, synchronously,
-        for every unsolicited ``revoke`` the server pushes (on either
-        wire lane); exceptions are swallowed so a broken handler cannot
+        ``handler(revocation)`` runs synchronously, inside the read that
+        delivered it, for every unsolicited ``revoke`` the server pushes
+        (on either wire lane); exceptions are swallowed so a broken handler cannot
         kill the connection.  Every revocation is also appended to
         :attr:`revocations` whether or not handlers are registered —
         polling callers need no callback at all.
@@ -502,16 +495,15 @@ class RemotePDPClient:
         return await self._send_and_wait(request_id, dumps_line(payload))
 
     async def _send_and_wait(self, request_id: Any, data: bytes) -> Any:
-        if self._closed:
-            raise ServiceError("client is closed")
-        future: "asyncio.Future[Any]" = (
-            asyncio.get_running_loop().create_future()
-        )
+        link = self._link
+        while link.writable is not None:  # the transport paused writing
+            await link.writable
+        if self._failure is not None:  # closed, by either side
+            raise self._failure
+        future: "asyncio.Future[Any]" = self._loop.create_future()
         self._pending[request_id] = future
+        link.write(data)
         try:
-            async with self._write_lock:
-                self._writer.write(data)
-                await self._writer.drain()
             return await future
         finally:
             self._pending.pop(request_id, None)
@@ -548,69 +540,72 @@ class RemotePDPClient:
                     ServiceError(f"server rejected request: {message}")
                 )
 
-    async def _read_loop(self) -> None:
-        error: Optional[Exception] = None
+    def _dispatch_line(self, line: bytes) -> None:
         try:
-            while True:
-                # Same per-message format detection as the server:
-                # binary frames lead with the magic byte, NDJSON with
-                # anything else — responses of both kinds interleave.
-                try:
-                    first = await self._reader.readexactly(1)
-                except asyncio.IncompleteReadError:
-                    break
-                if first[0] == BINARY_MAGIC:
-                    kind, body = await read_frame_tail(self._reader)
-                    self._dispatch_frame(kind, body)
-                    continue
-                try:
-                    rest = await self._reader.readuntil(b"\n")
-                except asyncio.IncompleteReadError as eof:
-                    if not eof.partial:
-                        break
-                    rest = eof.partial
-                try:
-                    payload = parse_line(
-                        (first + rest).strip(), max_bytes=MAX_OP_LINE_BYTES
-                    )
-                except ServiceError:
-                    continue  # garbage line; keep the stream alive
-                if payload.get("op") == "revoke":
-                    # Unsolicited push — never matched against pending
-                    # futures (its id names a *grant*, whose decide()
-                    # future resolved long ago).
-                    try:
-                        self._deliver_revocation(decode_revocation(payload))
-                    except ServiceError:
-                        pass
-                    continue
-                future = self._pending.get(payload.get("id"))
-                if future is not None and not future.done():
-                    future.set_result(payload)
-        except (ConnectionResetError, asyncio.IncompleteReadError) as exc:
-            error = exc
-        except ServiceError as exc:  # oversized or malformed frame
-            error = exc
-        except asyncio.CancelledError:
-            error = ServiceError("client closed")
-        # Fail anything still waiting so callers never hang on EOF.
+            payload = parse_line(line, max_bytes=MAX_OP_LINE_BYTES)
+        except ServiceError:
+            return  # garbage line; keep the stream alive
+        if payload.get("op") == "revoke":
+            # Unsolicited push — never matched against pending futures
+            # (its id names a *grant*, whose decide() future resolved
+            # long ago).
+            try:
+                self._deliver_revocation(decode_revocation(payload))
+            except ServiceError:
+                pass
+            return
+        future = self._pending.get(payload.get("id"))
+        if future is not None and not future.done():
+            future.set_result(payload)
+
+    def _fail(self, error: Optional[Exception]) -> None:
+        """The connection ended: fail anything still waiting, so
+        callers never hang on EOF."""
+        if self._failure is None:
+            self._failure = ServiceError(
+                str(error or "connection closed by server")
+            )
         for future in self._pending.values():
             if not future.done():
-                future.set_exception(
-                    error or ServiceError("connection closed by server")
-                )
+                future.set_exception(self._failure)
 
     async def close(self) -> None:
         if self._closed:
             return
         self._closed = True
-        self._reader_task.cancel()
+        if self._failure is None:
+            self._failure = ServiceError("client is closed")
+        self._link.close()
+        await self._lost
+
+
+class _Link(WireConnection):
+    """The client's end of the wire: every message a read delivered is
+    dispatched to its waiting caller in that one pass."""
+
+    #: An op response (a metrics exposition) is much larger than any
+    #: decision response.
+    max_line_bytes = MAX_OP_LINE_BYTES
+
+    def __init__(self, client: RemotePDPClient) -> None:
+        super().__init__()
+        self.client = client
+
+    def line_received(self, line: bytes) -> None:
+        self.client._dispatch_line(line)
+
+    def frame_received(self, kind: int, body: bytes) -> None:
         try:
-            await self._reader_task
-        except asyncio.CancelledError:
-            pass
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
+            self.client._dispatch_frame(kind, body)
+        except ServiceError as error:  # malformed frame: position lost
+            self.protocol_error(str(error), True)
+            self.close()
+
+    def protocol_error(self, message: str, binary: bool) -> None:
+        self.client._fail(ServiceError(message))
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        super().connection_lost(exc)
+        self.client._fail(exc)
+        if not self.client._lost.done():
+            self.client._lost.set_result(None)

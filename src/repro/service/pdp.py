@@ -217,7 +217,6 @@ class _Pending:
 
     request: AccessRequest
     env_override: Optional[FrozenSet[str]]
-    future: "asyncio.Future[PDPResponse]"
     submitted_at: float
     #: Event-loop deadline (loop.time() based), or None.
     deadline: Optional[float]
@@ -233,6 +232,11 @@ class _Pending:
     #: submit originated for a locally sampled request); ``None`` on
     #: untraced traffic.
     trace_ctx: Optional[TraceContext] = None
+    #: How the answer is delivered, attached by whichever front door
+    #: admitted the request: :meth:`PolicyDecisionPoint.submit` awaits
+    #: ``future``; ``submit_nowait`` is completed through ``callback``.
+    future: Optional["asyncio.Future[PDPResponse]"] = None
+    callback: Optional[Callable[[PDPResponse], None]] = None
 
     @property
     def trace_id(self) -> str:
@@ -341,6 +345,7 @@ class SessionGrantTable:
         # grant age for deterministic revocation order in tests.
         self._sessions: Dict[object, Dict[object, SessionGrant]] = {}
         self._push: Dict[object, Callable[..., None]] = {}
+        self._flush: Dict[object, Callable[[], object]] = {}
         # role name -> {(session_id, grant_id)} postings, so a flip
         # touches only the grants that role supports — O(affected),
         # not O(table).
@@ -350,7 +355,10 @@ class SessionGrantTable:
         self.push_errors = 0
 
     def attach_session(
-        self, session_id: object, push: Callable[..., None]
+        self,
+        session_id: object,
+        push: Callable[..., None],
+        flush: Optional[Callable[[], object]] = None,
     ) -> None:
         """Start accepting grants for ``session_id``.
 
@@ -358,14 +366,21 @@ class SessionGrantTable:
         revocation: the withdrawn :class:`SessionGrant`, the tuple of
         deactivated role names that withdrew it, a human-readable
         reason, and the server wall-clock timestamp of the flip.
+        ``flush()``, when given, runs once at the end of every sweep
+        that pushed to this session — a transport that coalesces
+        writes sends the sweep's revokes there, not whenever its next
+        reply happens to leave.
         """
         self._sessions.setdefault(session_id, {})
         self._push[session_id] = push
+        if flush is not None:
+            self._flush[session_id] = flush
 
     def detach_session(self, session_id: object) -> None:
         """Forget a closed connection and every grant it held."""
         grants = self._sessions.pop(session_id, None)
         self._push.pop(session_id, None)
+        self._flush.pop(session_id, None)
         if not grants:
             return
         for grant in grants.values():
@@ -412,7 +427,6 @@ class SessionGrantTable:
             grant = grants.pop(grant_id, None)
             if grant is None:
                 continue
-            self._unindex(grant, skip_role=role)
             revoked.append(grant)
             push = self._push.get(session_id)
             if push is None:
@@ -421,6 +435,19 @@ class SessionGrantTable:
                 push(grant, (role,), reason, ts)
             except Exception:  # noqa: BLE001 - a dead writer, not us
                 self.push_errors += 1
+        # Holders first, bookkeeping second: every revoke is on its way
+        # before the withdrawn grants leave the other roles' postings
+        # (a grant rests on its whole census, so that is the slow half
+        # of a sweep).  Neither push nor flush re-enters the table.
+        for session_id in {grant.session_id for grant in revoked}:
+            flush = self._flush.get(session_id)
+            if flush is not None:
+                try:
+                    flush()
+                except Exception:  # noqa: BLE001 - a dead writer, not us
+                    self.push_errors += 1
+        for grant in revoked:
+            self._unindex(grant, skip_role=role)
         return revoked
 
     def _unindex(self, grant: SessionGrant, skip_role: str = "") -> None:
@@ -1027,6 +1054,59 @@ class PolicyDecisionPoint:
             fresh context when sampled.
         :raises ServiceError: when the service is not running.
         """
+        admitted = self._admit(
+            request, environment_roles, timeout, request_id, tenant, trace_ctx
+        )
+        if type(admitted) is PDPResponse:
+            return admitted
+        admitted.future = asyncio.get_running_loop().create_future()
+        return await admitted.future
+
+    def submit_nowait(
+        self,
+        request: AccessRequest,
+        callback: Callable[[PDPResponse], None],
+        environment_roles: Optional[Set[str]] = None,
+        timeout: Optional[float] = None,
+        request_id: Optional[object] = None,
+        tenant: Optional[str] = None,
+        trace_ctx: Optional[TraceContext] = None,
+    ) -> None:
+        """:meth:`submit` without a coroutine: ``callback(response)``.
+
+        Whatever admission can answer on its own — a cache hit, a shed,
+        an unknown tenant — reaches ``callback`` before this returns,
+        with no task, future or queue slot; only a request that has to
+        be mediated waits, and the batcher calls ``callback`` from the
+        flush that decided it.  The callback runs on the event loop and
+        must not raise or block.
+
+        :raises ServiceError: when the service is not running.
+        """
+        admitted = self._admit(
+            request, environment_roles, timeout, request_id, tenant, trace_ctx
+        )
+        if type(admitted) is PDPResponse:
+            callback(admitted)
+        else:
+            admitted.callback = callback
+
+    def _admit(
+        self,
+        request: AccessRequest,
+        environment_roles: Optional[Set[str]],
+        timeout: Optional[float],
+        request_id: Optional[object],
+        tenant: Optional[str],
+        trace_ctx: Optional[TraceContext],
+    ) -> "PDPResponse | _Pending":
+        """The synchronous half of submission.
+
+        Returns the finished response when the request never needs the
+        batcher (unknown tenant, cache hit, full queue), else the
+        queued :class:`_Pending` — the caller attaches a future or a
+        callback to it before the loop can run the batcher.
+        """
         if not self._accepting or self._queue is None:
             raise ServiceError("PDP is not running (call start())")
         self._m_requests.inc()
@@ -1117,14 +1197,16 @@ class PolicyDecisionPoint:
         else:
             self._m_cache_misses.inc()
 
-        loop = asyncio.get_running_loop()
         timeout_s = timeout if timeout is not None else self.config.default_timeout_s
         pending = _Pending(
             request=request,
             env_override=override,
-            future=loop.create_future(),
             submitted_at=submitted,
-            deadline=loop.time() + timeout_s if timeout_s is not None else None,
+            deadline=(
+                asyncio.get_running_loop().time() + timeout_s
+                if timeout_s is not None
+                else None
+            ),
             request_id=request_id,
             traced=traced,
             tenant=tenant_name,
@@ -1135,7 +1217,7 @@ class PolicyDecisionPoint:
             self._queue.put_nowait(pending)
         except asyncio.QueueFull:
             return self._shed(pending, "admission queue full")
-        return await pending.future
+        return pending
 
     # ------------------------------------------------------------------
     # Batching internals
@@ -1513,7 +1595,12 @@ class PolicyDecisionPoint:
 
     def _finish(self, item: _Pending, response: PDPResponse) -> None:
         self._observe_response(response)
-        if not item.future.done():
+        if item.callback is not None:
+            try:
+                item.callback(response)
+            except Exception:  # noqa: BLE001 - one caller's bug must not stop the batcher
+                self._m_errors.inc()
+        elif item.future is not None and not item.future.done():
             item.future.set_result(response)
 
     def _observe_response(self, response: PDPResponse) -> None:

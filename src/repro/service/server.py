@@ -2,20 +2,35 @@
 
 :class:`PDPServer` binds a :class:`~repro.service.pdp.PolicyDecisionPoint`
 to a listening socket.  Each connection is a long-lived pipelined
-stream: clients may have any number of requests in flight; responses
-carry the request's ``id`` and may arrive out of submission order
-(cache hits and sheds resolve ahead of batched work).  Backpressure
-composes: the PDP's bounded queue sheds excess decision work
-explicitly, and per-connection writes await ``drain()`` so a slow
-reader throttles only its own connection.
+stream — one :class:`~repro.service.transport.WireConnection`, no
+coroutine, task, lock or ``drain()`` per request:
 
-Wire negotiation is per *message*: every read peeks one byte — the
-binary magic routes to the struct-frame decoder of
-:mod:`repro.service.protocol`, anything else is an NDJSON line — so
-NDJSON and binary clients (and mixed traffic from one client) share a
-single listener.  The ``{"op": "intern"}`` handshake pins this
-connection's integer id tables for the binary request lane; binary
-requests get binary responses, NDJSON requests get NDJSON responses.
+* **parse-all-per-read** — every complete message a read delivered is
+  handled in that one loop turn, in stream order.  Wire negotiation is
+  per *message*: the binary magic byte routes to the struct-frame
+  decoder of :mod:`repro.service.protocol`, anything else is an NDJSON
+  line, so NDJSON and binary clients (and mixed traffic from one
+  client) share a single listener.  Binary requests get binary
+  responses, NDJSON requests get NDJSON responses.
+* **in-turn answers** — decisions enter the PDP through its synchronous
+  admission (:meth:`~repro.service.pdp.PolicyDecisionPoint.submit_nowait`):
+  cache hits, sheds and unknown-tenant denies are answered inside the
+  turn that read them; only a request that must be mediated waits for
+  the batcher, which completes it by callback.  Responses carry the
+  request's ``id`` and may therefore overtake one another.
+* **op ordering** — control ops (``intern``, ``env``, ``reload*``,
+  ``stats`` …) run to completion where they stand in the stream: no
+  later byte of that connection is parsed before the op has answered.
+* **one write per turn** — everything a read (or a batcher flush)
+  answered on a connection leaves in one ``transport.write``.  Pushed
+  revocations are the exception: they are written at the end of the
+  grant-table sweep that produced them, ahead of the reply to whatever
+  caused the flip.
+* **pause-reading backpressure** — the PDP's bounded queue sheds
+  excess decision work explicitly; a peer that does not read its
+  answers stops being *read* once the transport's write buffer passes
+  its high-water mark, so a slow reader throttles only its own
+  connection.
 
 The CLI's ``serve`` subcommand (see :mod:`repro.cli`) is a thin
 wrapper over :func:`PDPServer.serve_forever`.
@@ -25,19 +40,18 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Optional
+from typing import Callable, Dict, Optional
 
 from repro.exceptions import PolicyStoreError, ServiceError
 from repro.service.pdp import (
     DEFAULT_TENANT,
     PDPOutcome,
+    PDPResponse,
     PolicyDecisionPoint,
     SessionGrant,
 )
 from repro.service.protocol import (
-    BINARY_MAGIC,
     KIND_REQUEST,
-    MAX_LINE_BYTES,
     InternTables,
     WireRevocation,
     decode_binary_request_ex,
@@ -53,8 +67,10 @@ from repro.service.protocol import (
     encode_revocation,
     parse_line,
     peek_binary_subscribe,
-    read_frame_tail,
 )
+from repro.service.transport import WireConnection
+
+_NO_ADMIN = "policy administration is not enabled on this server"
 
 
 class PDPServer:
@@ -106,7 +122,13 @@ class PDPServer:
         self._server: Optional[asyncio.AbstractServer] = None
         self._shutdown: Optional[asyncio.Event] = None
         self._boundary_task: Optional["asyncio.Task[None]"] = None
+        #: Connections accepted so far, and the ones still open.
         self.connections = 0
+        self._open: "set[_Connection]" = set()
+        #: Messages answered/pushed and the socket writes that carried
+        #: them; their ratio is the write-coalescing factor.
+        self._m_responses = pdp.metrics.counter("server.responses")
+        self._m_socket_writes = pdp.metrics.counter("server.socket_writes")
         #: Lazily-created per-tenant administrators for pinned
         #: (non-store) tenants, so tenant-scoped reloads get the same
         #: lint/diff/audit gate as the default path.
@@ -121,21 +143,29 @@ class PDPServer:
             raise ServiceError("server is not listening")
         return self._server.sockets[0].getsockname()[1]
 
+    def stats(self) -> Dict[str, int]:
+        """Connection and write-coalescing counters (the ``server``
+        block of the ``stats`` op)."""
+        return {
+            "connections": self.connections,
+            "open_connections": len(self._open),
+            "responses": self._m_responses.value,
+            "socket_writes": self._m_socket_writes.value,
+        }
+
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> "PDPServer":
         await self.pdp.start()
-        self._server = await asyncio.start_server(
-            self._handle_connection,
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(
+            lambda: _Connection(self),
             host=self.host,
             port=self._requested_port,
-            limit=MAX_LINE_BYTES,
         )
         if self.environment is not None and self._boundary_task is None:
-            self._boundary_task = asyncio.get_running_loop().create_task(
-                self._drive_boundaries()
-            )
+            self._boundary_task = loop.create_task(self._drive_boundaries())
         return self
 
     async def stop(self, drain: bool = True) -> None:
@@ -152,6 +182,10 @@ class PDPServer:
             await self._server.wait_closed()
             self._server = None
         await self.pdp.stop(drain=drain)
+        # The drain answered by callback: hand those answers to the
+        # sockets now, not on a loop iteration that may never come.
+        for connection in list(self._open):
+            connection.flush()
 
     async def _drive_boundaries(self) -> None:
         """Observe the activator at every scheduled temporal boundary.
@@ -247,393 +281,106 @@ class PDPServer:
         await self.stop()
 
     # ------------------------------------------------------------------
-    # Connection handling
+    # Control ops — synchronous, answered where they stand in the stream
     # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self.connections += 1
-        write_lock = asyncio.Lock()
-        tasks: "set[asyncio.Task[None]]" = set()
-        #: Per-connection intern tables (protocol.InternTables), set by
-        #: the first ``{"op": "intern"}``.  One-slot list so the nested
-        #: handlers can rebind it.
-        tables: "list[Optional[InternTables]]" = [None]
-
-        async def respond(payload: dict) -> None:
-            async with write_lock:
-                writer.write(dumps_line(payload))
-                await writer.drain()
-
-        async def respond_bytes(data: bytes) -> None:
-            async with write_lock:
-                writer.write(data)
-                await writer.drain()
-
-        # Continuous-authorization session state: this connection's
-        # identity in the PDP grant table, plus which of its grants
-        # arrived on the binary lane (revokes answer in kind).
-        loop = asyncio.get_running_loop()
-        session_key = object()
-        binary_grants: "set[object]" = set()
-
-        async def deliver_revocation(
-            revocation: WireRevocation, binary: bool
-        ) -> None:
-            # Flip-to-delivery latency, observed as late as the server
-            # can see it: just before the push bytes are written.
-            self.pdp.record_revocation_latency(time.time() - revocation.ts)
-            if binary and tables[0] is not None:
-                try:
-                    data = encode_binary_revocation(tables[0], revocation)
-                except ServiceError:
-                    data = None  # uninterned name: fall back to NDJSON
-                if data is not None:
-                    await respond_bytes(data)
-                    return
-            await respond(encode_revocation(revocation))
-
-        def push_revocation(grant, roles, reason: str, ts: float) -> None:
-            # Called synchronously from the grant-table sweep (on this
-            # loop).  Fast path: encode and buffer the push inline —
-            # ``writer.write`` never blocks (``drain`` is only the
-            # cooperative backpressure wait, and a sweep pushes at
-            # most one frame per registered grant, so the buffer
-            # growth is bounded by the table) — a 1k-session sweep is
-            # 1k buffer appends, not 1k scheduled tasks.  Writes stay
-            # whole-message: every ``write`` call appends one complete
-            # frame/line, so interleaving with a locked respond is
-            # safe.
-            revocation = WireRevocation(
-                id=grant.grant_id,
-                subject=grant.subject,
-                transaction=grant.transaction,
-                obj=grant.obj,
-                roles=tuple(roles),
-                reason=reason,
-                ts=ts,
-            )
-            binary = grant.grant_id in binary_grants
-            data: Optional[bytes] = None
-            if binary and tables[0] is not None:
-                try:
-                    data = encode_binary_revocation(tables[0], revocation)
-                except ServiceError:
-                    data = None  # uninterned name: NDJSON below
-            if data is None and not binary:
-                data = dumps_line(encode_revocation(revocation))
-            if data is not None and not writer.is_closing():
-                self.pdp.record_revocation_latency(
-                    time.time() - revocation.ts
-                )
-                writer.write(data)
-                return
-            # Slow path (binary encode refused, or mid-close): a task
-            # that can await the lock and fall back across lanes.
-            task = loop.create_task(deliver_revocation(revocation, binary))
-            tasks.add(task)
-            task.add_done_callback(tasks.discard)
-
-        def register_grant(request_id, request, response, binary) -> None:
-            # Subscribed GRANTs resolved against the *live* environment
-            # become standing grants: any supporting role deactivating
-            # pushes a revoke.  Registered before the response is
-            # written, so a flip arriving right after the decision can
-            # never fall between grant and subscription.
-            if (
-                response.outcome is not PDPOutcome.GRANT
-                or response.decision is None
-            ):
-                return
-            if binary:
-                binary_grants.add(request_id)
-            self.pdp.grants.register(
-                SessionGrant(
-                    session_id=session_key,
-                    grant_id=request_id,
-                    subject=request.subject,
-                    transaction=request.transaction,
-                    obj=request.obj,
-                    roles=frozenset(response.decision.environment_roles),
-                    tenant=response.tenant,
-                )
-            )
-
-        self.pdp.grants.attach_session(session_key, push_revocation)
-        try:
-            while True:
-                # Per-message format detection: a binary frame leads
-                # with BINARY_MAGIC (never a JSON start byte), NDJSON
-                # with anything else — mixed clients share one port.
-                try:
-                    first = await reader.readexactly(1)
-                except asyncio.IncompleteReadError:
-                    break
-                if first[0] == BINARY_MAGIC:
-                    try:
-                        kind, body = await read_frame_tail(reader)
-                    except ServiceError as error:
-                        # Oversized frame: the stream position is not
-                        # recoverable, so report and drop the link.
-                        await respond_bytes(
-                            encode_binary_error(None, str(error))
-                        )
-                        break
-                    except asyncio.IncompleteReadError:
-                        break  # truncated frame: peer went away
-                    await self._handle_frame(
-                        kind, body, tables, respond_bytes, tasks,
-                        register_grant,
-                    )
-                    continue
-                try:
-                    rest = await reader.readuntil(b"\n")
-                except asyncio.IncompleteReadError as eof:
-                    rest = eof.partial  # final unterminated line
-                except (asyncio.LimitOverrunError, ValueError):
-                    await respond({"error": "wire line too long"})
-                    break
-                line = (first + rest).strip()
-                if line:
-                    await self._handle_line(
-                        line, respond, tables, tasks, register_grant
-                    )
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            self.pdp.grants.detach_session(session_key)
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
-    async def _handle_frame(
-        self, kind: int, body: bytes, tables, respond_bytes, tasks,
-        register=None,
-    ) -> None:
-        if kind != KIND_REQUEST:
-            await respond_bytes(
-                encode_binary_error(None, f"unexpected frame kind {kind}")
-            )
-            return
-        subscribe = peek_binary_subscribe(body)
-        try:
-            (
-                request_id,
-                request,
-                env,
-                timeout_s,
-                tenant,
-                trace_ctx,
-            ) = decode_binary_request_ex(tables[0], body)
-        except ServiceError as error:
-            await respond_bytes(encode_binary_error(None, str(error)))
-            return
-
-        async def decide_and_reply() -> None:
-            try:
-                response = await self.pdp.submit(
-                    request,
-                    environment_roles=env,
-                    timeout=timeout_s,
-                    request_id=request_id,
-                    tenant=tenant,
-                    trace_ctx=trace_ctx,
-                )
-            except ServiceError as error:  # PDP stopped mid-flight
-                await respond_bytes(
-                    encode_binary_error(request_id, str(error))
-                )
-                return
-            if subscribe and env is None and register is not None:
-                register(request_id, request, response, True)
-            await respond_bytes(encode_binary_response(request_id, response))
-
-        task = asyncio.get_running_loop().create_task(decide_and_reply())
-        tasks.add(task)
-        task.add_done_callback(tasks.discard)
-
-    async def _handle_line(
-        self, line: bytes, respond, tables, tasks, register=None
-    ) -> None:
-        try:
-            payload = parse_line(line)
-        except ServiceError as error:
-            await respond({"error": str(error)})
-            return
-        op = payload.get("op")
-        if op is not None:
-            await self._handle_op(op, payload, respond, tables)
-            return
-        try:
-            request_id, request, env, timeout_s = decode_request(payload)
-            tenant = decode_tenant(payload)
-            trace_ctx = decode_trace_context(payload)
-            subscribe = decode_subscribe(payload)
-        except ServiceError as error:
-            await respond({"id": payload.get("id"), "error": str(error)})
-            return
-
-        async def decide_and_reply() -> None:
-            try:
-                response = await self.pdp.submit(
-                    request,
-                    environment_roles=env,
-                    timeout=timeout_s,
-                    request_id=request_id,
-                    tenant=tenant,
-                    trace_ctx=trace_ctx,
-                )
-            except ServiceError as error:  # PDP stopped mid-flight
-                await respond({"id": request_id, "error": str(error)})
-                return
-            if subscribe and env is None and register is not None:
-                register(request_id, request, response, False)
-            await respond(encode_response(request_id, response))
-
-        # Decide concurrently so one queued request never blocks the
-        # read loop — this is what lets a single connection keep many
-        # requests in flight (and the batcher fill real batches).
-        task = asyncio.get_running_loop().create_task(decide_and_reply())
-        tasks.add(task)
-        task.add_done_callback(tasks.discard)
-
-    async def _handle_op(
-        self, op: object, payload: dict, respond, tables=None
-    ) -> None:
+    def _handle_op(
+        self, op: object, payload: dict, connection: "_Connection"
+    ) -> dict:
+        """The reply to one control op.  A :class:`ServiceError` raised
+        by a handler becomes ``{"id": ..., "error": ...}``."""
         request_id = payload.get("id")
-        if op == "ping":
-            await respond({"op": "pong", "id": request_id})
-        elif op == "intern":
-            # Hand out (and pin, for this connection) the integer id
-            # tables the binary request lane encodes against.  Re-
-            # issuing the op after a policy change refreshes them.  An
-            # optional "tenant" interns against that tenant's active
-            # policy instead of the default engine's.
-            # A client (or the shard router, replaying a handshake to
-            # a fresh worker connection) may instead *provide* tables;
-            # they are pinned verbatim so the same ids decode to the
-            # same names on every connection of a session, even across
-            # worker restarts or reloads.
-            if payload.get("tables") is not None:
-                try:
-                    interned = InternTables.from_payload(payload)
-                except ServiceError as error:
-                    await respond({"id": request_id, "error": str(error)})
-                    return
-                if tables is not None:
-                    tables[0] = interned
-                await respond({"id": request_id, **interned.to_payload()})
-                return
+        handler = self._OPS.get(op) if isinstance(op, str) else None
+        try:
+            if handler is None:
+                raise ServiceError(f"unknown op {op!r}")
+            reply = handler(self, payload, connection)
+        except ServiceError as error:
+            return {"id": request_id, "error": str(error)}
+        reply.setdefault("id", request_id)
+        return reply
+
+    def _op_ping(self, payload: dict, connection: "_Connection") -> dict:
+        return {"op": "pong"}
+
+    def _op_intern(self, payload: dict, connection: "_Connection") -> dict:
+        # Hand out (and pin, for this connection) the integer id
+        # tables the binary request lane encodes against.  Re-issuing
+        # the op after a policy change refreshes them.  An optional
+        # "tenant" interns against that tenant's active policy instead
+        # of the default engine's.  A client (or the shard router,
+        # replaying a handshake to a fresh worker connection) may
+        # instead *provide* tables; they are pinned verbatim so the
+        # same ids decode to the same names on every connection of a
+        # session, even across worker restarts or reloads.
+        if payload.get("tables") is not None:
+            interned = InternTables.from_payload(payload)
+        else:
             tenant = payload.get("tenant")
             if tenant is not None and not isinstance(tenant, str):
-                await respond(
-                    {"id": request_id, "error": "'tenant' must be a string"}
-                )
-                return
-            try:
-                policy = (
-                    self.pdp.policy
-                    if tenant is None or tenant == DEFAULT_TENANT
-                    else self.pdp.tenant_policy(tenant)
-                )
-            except ServiceError as error:
-                await respond({"id": request_id, "error": str(error)})
-                return
-            interned = InternTables.from_policy(policy)
-            if tables is not None:
-                tables[0] = interned
-            await respond({"id": request_id, **interned.to_payload()})
-        elif op == "tenants":
-            await respond(
-                {
-                    "op": "tenants",
-                    "id": request_id,
-                    "tenants": self.pdp.tenants_overview(),
-                }
+                raise ServiceError("'tenant' must be a string")
+            interned = InternTables.from_policy(
+                self.pdp.policy
+                if tenant is None or tenant == DEFAULT_TENANT
+                else self.pdp.tenant_policy(tenant)
             )
-        elif op == "stats":
-            await respond(
-                {"op": "stats", "id": request_id, "stats": self.pdp.stats()}
-            )
-        elif op == "trace":
-            # Span lookup for one distributed trace: the cluster admin
-            # (or a debugging client) asks each worker for the spans it
-            # retained for a trace id and joins them with the router's.
-            trace_id = payload.get("trace_id")
-            if not isinstance(trace_id, str) or not trace_id:
-                await respond(
-                    {
-                        "id": request_id,
-                        "error": "'trace_id' must be a non-empty string",
-                    }
-                )
-                return
-            await respond(
-                {
-                    "op": "trace",
-                    "id": request_id,
-                    "trace_id": trace_id,
-                    "spans": self.pdp.find_trace(trace_id),
-                }
-            )
-        elif op == "metrics":
-            await respond(
-                {
-                    "op": "metrics",
-                    "id": request_id,
-                    "prometheus": self.pdp.metrics_prometheus(),
-                    "json": self.pdp.metrics_json(),
-                }
-            )
-        elif op == "health":
-            await respond(
-                {"op": "health", "id": request_id, **self.pdp.health()}
-            )
-        elif op == "ready":
-            await respond(
-                {"op": "ready", "id": request_id, **self.pdp.ready()}
-            )
-        elif op == "dump":
-            limit = payload.get("limit")
-            since_seq = payload.get("since_seq", 0)
-            subject = payload.get("subject")
-            outcome = payload.get("outcome")
-            if limit is not None and not isinstance(limit, int):
-                await respond(
-                    {"id": request_id, "error": "'limit' must be an integer"}
-                )
-                return
-            if not isinstance(since_seq, int):
-                await respond(
-                    {"id": request_id, "error": "'since_seq' must be an integer"}
-                )
-                return
-            await respond(
-                {
-                    "op": "dump",
-                    "id": request_id,
-                    "entries": self.pdp.dump(
-                        limit=limit,
-                        since_seq=since_seq,
-                        subject=subject if isinstance(subject, str) else None,
-                        outcome=outcome if isinstance(outcome, str) else None,
-                    ),
-                }
-            )
-        elif op == "env":
-            await self._handle_env(payload, respond)
-        elif op == "reload":
-            await self._handle_reload(payload, respond)
-        elif op in ("reload_prepare", "reload_activate", "reload_abort"):
-            await self._handle_two_phase(op, payload, respond)
-        else:
-            await respond({"id": request_id, "error": f"unknown op {op!r}"})
+        connection.tables = interned
+        return interned.to_payload()
 
-    async def _handle_env(self, payload: dict, respond) -> None:
+    def _op_tenants(self, payload: dict, connection: "_Connection") -> dict:
+        return {"op": "tenants", "tenants": self.pdp.tenants_overview()}
+
+    def _op_stats(self, payload: dict, connection: "_Connection") -> dict:
+        return {
+            "op": "stats",
+            "stats": {**self.pdp.stats(), "server": self.stats()},
+        }
+
+    def _op_trace(self, payload: dict, connection: "_Connection") -> dict:
+        # Span lookup for one distributed trace: the cluster admin (or
+        # a debugging client) asks each worker for the spans it
+        # retained for a trace id and joins them with the router's.
+        trace_id = payload.get("trace_id")
+        if not isinstance(trace_id, str) or not trace_id:
+            raise ServiceError("'trace_id' must be a non-empty string")
+        return {
+            "op": "trace",
+            "trace_id": trace_id,
+            "spans": self.pdp.find_trace(trace_id),
+        }
+
+    def _op_metrics(self, payload: dict, connection: "_Connection") -> dict:
+        return {
+            "op": "metrics",
+            "prometheus": self.pdp.metrics_prometheus(),
+            "json": self.pdp.metrics_json(),
+        }
+
+    def _op_health(self, payload: dict, connection: "_Connection") -> dict:
+        return {"op": "health", **self.pdp.health()}
+
+    def _op_ready(self, payload: dict, connection: "_Connection") -> dict:
+        return {"op": "ready", **self.pdp.ready()}
+
+    def _op_dump(self, payload: dict, connection: "_Connection") -> dict:
+        limit = payload.get("limit")
+        since_seq = payload.get("since_seq", 0)
+        subject = payload.get("subject")
+        outcome = payload.get("outcome")
+        if limit is not None and not isinstance(limit, int):
+            raise ServiceError("'limit' must be an integer")
+        if not isinstance(since_seq, int):
+            raise ServiceError("'since_seq' must be an integer")
+        return {
+            "op": "dump",
+            "entries": self.pdp.dump(
+                limit=limit,
+                since_seq=since_seq,
+                subject=subject if isinstance(subject, str) else None,
+                outcome=outcome if isinstance(outcome, str) else None,
+            ),
+        }
+
+    def _op_env(self, payload: dict, connection: "_Connection") -> dict:
         """The ``env`` wire op: feed the server's live environment.
 
         Only servers constructed with an ``environment`` runtime accept
@@ -659,20 +406,16 @@ class PDPServer:
         Every action answers with the post-action snapshot revision and
         active-role census.  Side effects — role flips, cache
         invalidation, pushed revocations — happen synchronously on the
-        bus before the answer is written, so a client that sees the
-        reply knows every revocation it caused has been queued.
+        bus before the answer is built: each revoke a flip causes is
+        already written to its holder's socket (at the end of the
+        grant-table sweep) by the time the reply is.
         """
-        request_id = payload.get("id")
         runtime = self.environment
         if runtime is None:
-            await respond(
-                {
-                    "id": request_id,
-                    "error": "this server has no live environment "
-                    "(start serve with --continuous)",
-                }
+            raise ServiceError(
+                "this server has no live environment "
+                "(start serve with --continuous)"
             )
-            return
         action = payload.get("action")
         try:
             if action == "set":
@@ -734,22 +477,17 @@ class PDPServer:
                     "'action' must be one of set/move/advance/"
                     "define_time_role/define_location_role"
                 )
-        except ServiceError as error:
-            await respond({"id": request_id, "error": str(error)})
-            return
+        except ServiceError:
+            raise
         except Exception as error:  # noqa: BLE001 - env errors answer, not kill
-            await respond({"id": request_id, "error": str(error)})
-            return
-        await respond(
-            {
-                "op": "env",
-                "id": request_id,
-                "revision": runtime.revision,
-                "active": sorted(runtime.active_roles()),
-            }
-        )
+            raise ServiceError(str(error)) from error
+        return {
+            "op": "env",
+            "revision": runtime.revision,
+            "active": sorted(runtime.active_roles()),
+        }
 
-    async def _handle_two_phase(self, op: str, payload: dict, respond) -> None:
+    def _op_two_phase(self, payload: dict, connection: "_Connection") -> dict:
         """The cluster reload ops: prepare / activate / abort.
 
         ``reload_prepare`` validates and compiles the candidate and
@@ -758,145 +496,65 @@ class PDPServer:
         out only after *every* worker prepared); ``reload_abort``
         discards one.  All three are admin-gated like ``reload``.
         """
-        request_id = payload.get("id")
+        op = payload["op"]
         administrator = self.administrator
         if administrator is None:
-            await respond(
-                {
-                    "id": request_id,
-                    "error": "policy administration is not enabled "
-                    "on this server",
-                }
-            )
-            return
-        actor = payload.get("actor", "")
-        if not isinstance(actor, str):
-            await respond(
-                {"id": request_id, "error": "'actor' must be a string"}
-            )
-            return
-        actor = actor or "wire"
+            raise ServiceError(_NO_ADMIN)
+        actor = _actor(payload)
         if op == "reload_prepare":
-            policy_text = payload.get("policy")
-            if not isinstance(policy_text, str) or not policy_text.strip():
-                await respond(
-                    {
-                        "id": request_id,
-                        "error": "'policy' must be non-empty policy text "
-                        "(DSL or serialized JSON)",
-                    }
-                )
-                return
-            prepared = administrator.prepare(policy_text, actor=actor)
-            await respond(
-                {
-                    "op": op,
-                    "id": request_id,
-                    "accepted": prepared.accepted,
-                    "token": prepared.token,
-                    "error": prepared.error,
-                    "record": prepared.record.to_dict(),
-                }
+            prepared = administrator.prepare(
+                _policy_text(payload), actor=actor
             )
-            return
+            return {
+                "op": op,
+                "accepted": prepared.accepted,
+                "token": prepared.token,
+                "error": prepared.error,
+                "record": prepared.record.to_dict(),
+            }
         token = payload.get("token")
         if not isinstance(token, str) or not token:
-            await respond(
-                {
-                    "id": request_id,
-                    "error": "'token' must be a non-empty string",
-                }
-            )
-            return
+            raise ServiceError("'token' must be a non-empty string")
         if op == "reload_activate":
             result = administrator.activate_prepared(token, actor=actor)
-            await respond(
-                {
-                    "op": op,
-                    "id": request_id,
-                    "accepted": result.accepted,
-                    "error": result.error,
-                    "generation": result.generation,
-                    "record": result.record.to_dict(),
-                }
-            )
-            return
-        aborted = administrator.abort_prepared(token, actor=actor)
-        await respond(
-            {
+            return {
                 "op": op,
-                "id": request_id,
-                "aborted": aborted,
-                "error": "" if aborted else f"unknown prepare token {token!r}",
+                "accepted": result.accepted,
+                "error": result.error,
+                "generation": result.generation,
+                "record": result.record.to_dict(),
             }
-        )
+        aborted = administrator.abort_prepared(token, actor=actor)
+        return {
+            "op": op,
+            "aborted": aborted,
+            "error": "" if aborted else f"unknown prepare token {token!r}",
+        }
 
-    async def _handle_reload(self, payload: dict, respond) -> None:
-        request_id = payload.get("id")
+    def _op_reload(self, payload: dict, connection: "_Connection") -> dict:
         tenant = payload.get("tenant")
         if tenant is not None:
             if not isinstance(tenant, str) or not tenant:
-                await respond(
-                    {
-                        "id": request_id,
-                        "error": "'tenant' must be a non-empty string",
-                    }
-                )
-                return
+                raise ServiceError("'tenant' must be a non-empty string")
             if tenant != DEFAULT_TENANT:
-                await self._handle_tenant_reload(
-                    request_id, tenant, payload, respond
-                )
-                return
+                return self._reload_tenant(tenant, payload)
         administrator = self.administrator
         if administrator is None:
-            await respond(
-                {
-                    "id": request_id,
-                    "error": "policy administration is not enabled "
-                    "on this server",
-                }
-            )
-            return
-        policy_text = payload.get("policy")
-        if not isinstance(policy_text, str) or not policy_text.strip():
-            await respond(
-                {
-                    "id": request_id,
-                    "error": "'policy' must be non-empty policy text "
-                    "(DSL or serialized JSON)",
-                }
-            )
-            return
-        actor = payload.get("actor", "")
-        if not isinstance(actor, str):
-            await respond(
-                {"id": request_id, "error": "'actor' must be a string"}
-            )
-            return
-        dry_run = payload.get("dry_run", False)
-        if not isinstance(dry_run, bool):
-            await respond(
-                {"id": request_id, "error": "'dry_run' must be a boolean"}
-            )
-            return
+            raise ServiceError(_NO_ADMIN)
+        policy_text = _policy_text(payload)
+        actor = _actor(payload)
         result = administrator.reload(
-            policy_text, actor=actor or "wire", dry_run=dry_run
+            policy_text, actor=actor, dry_run=_dry_run(payload)
         )
-        await respond(
-            {
-                "op": "reload",
-                "id": request_id,
-                "accepted": result.accepted,
-                "dry_run": result.dry_run,
-                "error": result.error,
-                "record": result.record.to_dict(),
-            }
-        )
+        return {
+            "op": "reload",
+            "accepted": result.accepted,
+            "dry_run": result.dry_run,
+            "error": result.error,
+            "record": result.record.to_dict(),
+        }
 
-    async def _handle_tenant_reload(
-        self, request_id: object, tenant: str, payload: dict, respond
-    ) -> None:
+    def _reload_tenant(self, tenant: str, payload: dict) -> dict:
         """Tenant-scoped ``reload``: store-gated or per-tenant admin.
 
         Three shapes, mirroring ``POST /reload?tenant=`` on the admin
@@ -911,101 +569,48 @@ class PDPServer:
           :class:`~repro.policy.admin.PolicyAdministrator` applies the
           same lint/diff/audit gate as the default path.
         """
-        actor = payload.get("actor", "")
-        if not isinstance(actor, str):
-            await respond(
-                {"id": request_id, "error": "'actor' must be a string"}
-            )
-            return
-        dry_run = payload.get("dry_run", False)
-        if not isinstance(dry_run, bool):
-            await respond(
-                {"id": request_id, "error": "'dry_run' must be a boolean"}
-            )
-            return
+        actor = _actor(payload)
+        dry_run = _dry_run(payload)
         policy_text = payload.get("policy")
         if policy_text is not None and (
             not isinstance(policy_text, str) or not policy_text.strip()
         ):
-            await respond(
-                {
-                    "id": request_id,
-                    "error": "'policy' must be non-empty policy text "
-                    "when present",
-                }
+            raise ServiceError(
+                "'policy' must be non-empty policy text when present"
             )
-            return
         store = self.pdp.store
         if store is not None and tenant in store:
             if dry_run:
-                await respond(
-                    {
-                        "id": request_id,
-                        "error": "dry_run is not supported for "
-                        "store-backed tenants (activate gates instead)",
-                    }
+                raise ServiceError(
+                    "dry_run is not supported for store-backed tenants "
+                    "(activate gates instead)"
                 )
-                return
+            reply = {"op": "reload", "tenant": tenant, "dry_run": False}
             try:
                 if policy_text is not None:
                     version = store.put(
-                        tenant,
-                        policy_text,
-                        actor=actor or "wire",
-                        note="wire reload",
+                        tenant, policy_text, actor=actor, note="wire reload"
                     )
-                    store.activate(
-                        tenant, version.version, actor=actor or "wire"
-                    )
+                    store.activate(tenant, version.version, actor=actor)
                 generation = self.pdp.refresh_tenant(tenant)
             except (PolicyStoreError, ServiceError) as error:
-                await respond(
-                    {
-                        "op": "reload",
-                        "id": request_id,
-                        "tenant": tenant,
-                        "accepted": False,
-                        "dry_run": False,
-                        "error": str(error),
-                    }
-                )
-                return
-            await respond(
-                {
-                    "op": "reload",
-                    "id": request_id,
-                    "tenant": tenant,
-                    "accepted": True,
-                    "dry_run": False,
-                    "error": None,
-                    "version": store.active_version(tenant),
-                    "generation": generation,
-                }
-            )
-            return
+                return {**reply, "accepted": False, "error": str(error)}
+            return {
+                **reply,
+                "accepted": True,
+                "error": None,
+                "version": store.active_version(tenant),
+                "generation": generation,
+            }
         if policy_text is None:
-            await respond(
-                {
-                    "id": request_id,
-                    "error": f"unknown store tenant {tenant!r} "
-                    "(reload without 'policy' refreshes from the store)",
-                }
+            raise ServiceError(
+                f"unknown store tenant {tenant!r} "
+                "(reload without 'policy' refreshes from the store)"
             )
-            return
         if self.administrator is None:
-            await respond(
-                {
-                    "id": request_id,
-                    "error": "policy administration is not enabled "
-                    "on this server",
-                }
-            )
-            return
+            raise ServiceError(_NO_ADMIN)
         if tenant not in self.pdp.tenants():
-            await respond(
-                {"id": request_id, "error": f"unknown tenant {tenant!r}"}
-            )
-            return
+            raise ServiceError(f"unknown tenant {tenant!r}")
         admin = self._tenant_admins.get(tenant)
         if admin is None:
             from repro.policy.admin import PolicyAdministrator
@@ -1015,20 +620,248 @@ class PDPServer:
                 fail_on=getattr(self.administrator, "fail_on", "error"),
             )
             self._tenant_admins[tenant] = admin
-        result = admin.reload(
-            policy_text, actor=actor or "wire", dry_run=dry_run
+        result = admin.reload(policy_text, actor=actor, dry_run=dry_run)
+        return {
+            "op": "reload",
+            "tenant": tenant,
+            "accepted": result.accepted,
+            "dry_run": result.dry_run,
+            "error": result.error,
+            "record": result.record.to_dict(),
+        }
+
+    _OPS: Dict[str, Callable[["PDPServer", dict, "_Connection"], dict]] = {
+        "ping": _op_ping,
+        "intern": _op_intern,
+        "tenants": _op_tenants,
+        "stats": _op_stats,
+        "trace": _op_trace,
+        "metrics": _op_metrics,
+        "health": _op_health,
+        "ready": _op_ready,
+        "dump": _op_dump,
+        "env": _op_env,
+        "reload": _op_reload,
+        "reload_prepare": _op_two_phase,
+        "reload_activate": _op_two_phase,
+        "reload_abort": _op_two_phase,
+    }
+
+
+def _actor(payload: dict) -> str:
+    actor = payload.get("actor", "")
+    if not isinstance(actor, str):
+        raise ServiceError("'actor' must be a string")
+    return actor or "wire"
+
+
+def _dry_run(payload: dict) -> bool:
+    dry_run = payload.get("dry_run", False)
+    if not isinstance(dry_run, bool):
+        raise ServiceError("'dry_run' must be a boolean")
+    return dry_run
+
+
+def _policy_text(payload: dict) -> str:
+    policy_text = payload.get("policy")
+    if not isinstance(policy_text, str) or not policy_text.strip():
+        raise ServiceError(
+            "'policy' must be non-empty policy text (DSL or serialized JSON)"
         )
-        await respond(
-            {
-                "op": "reload",
-                "id": request_id,
-                "tenant": tenant,
-                "accepted": result.accepted,
-                "dry_run": result.dry_run,
-                "error": result.error,
-                "record": result.record.to_dict(),
-            }
+    return policy_text
+
+
+class _Connection(WireConnection):
+    """One client socket: its intern tables, its standing grants and
+    the decisions it is still owed.
+
+    The connection object is also its identity in the PDP's
+    :class:`~repro.service.pdp.SessionGrantTable`.
+    """
+
+    def __init__(self, server: PDPServer) -> None:
+        super().__init__()
+        self.server = server
+        self.pdp = server.pdp
+        #: Intern tables pinned by the last ``{"op": "intern"}``.
+        self.tables: Optional[InternTables] = None
+        #: Standing grants issued on the binary lane (their revokes
+        #: answer in kind).
+        self._binary_grants: "set[object]" = set()
+        #: Decisions admitted and not yet answered; after the peer's
+        #: EOF the socket stays open until they are.
+        self._owed = 0
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        super().connection_made(transport)
+        self.server.connections += 1
+        self.server._open.add(self)
+        self.pdp.grants.attach_session(self, self._push_revocation, self.flush)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        super().connection_lost(exc)
+        self.server._open.discard(self)
+        self.pdp.grants.detach_session(self)
+
+    def eof_received(self) -> bool:
+        super().eof_received()
+        self.pdp.grants.detach_session(self)
+        return self._owed > 0  # half-closed peers still get their answers
+
+    def flush(self) -> int:
+        count = super().flush()
+        if count:
+            self.server._m_responses.value += count
+            self.server._m_socket_writes.value += 1
+        return count
+
+    # ------------------------------------------------------------------
+    # Inbound
+    # ------------------------------------------------------------------
+    def protocol_error(self, message: str, binary: bool) -> None:
+        self._error(None, message, binary)
+
+    def _error(self, request_id: object, message: str, binary: bool) -> None:
+        if binary:
+            self.write(encode_binary_error(request_id, message))
+        elif request_id is None:
+            self.write(dumps_line({"error": message}))
+        else:
+            self.write(dumps_line({"id": request_id, "error": message}))
+
+    def frame_received(self, kind: int, body: bytes) -> None:
+        if kind != KIND_REQUEST:
+            self._error(None, f"unexpected frame kind {kind}", True)
+            return
+        try:
+            request_id, request, env, timeout_s, tenant, trace_ctx = (
+                decode_binary_request_ex(self.tables, body)
+            )
+        except ServiceError as error:
+            self._error(None, str(error), True)
+            return
+        watch = env is None and peek_binary_subscribe(body)
+        self._submit(
+            request, env, timeout_s, request_id, tenant, trace_ctx,
+            self._watch_binary if watch else self._reply_binary, True,
         )
+
+    def line_received(self, line: bytes) -> None:
+        try:
+            payload = parse_line(line)
+        except ServiceError as error:
+            self._error(None, str(error), False)
+            return
+        op = payload.get("op")
+        if op is not None:
+            self.write(dumps_line(self.server._handle_op(op, payload, self)))
+            return
+        try:
+            request_id, request, env, timeout_s = decode_request(payload)
+            tenant = decode_tenant(payload)
+            trace_ctx = decode_trace_context(payload)
+            watch = decode_subscribe(payload) and env is None
+        except ServiceError as error:
+            self.write(
+                dumps_line({"id": payload.get("id"), "error": str(error)})
+            )
+            return
+        self._submit(
+            request, env, timeout_s, request_id, tenant, trace_ctx,
+            self._watch_json if watch else self._reply_json, False,
+        )
+
+    def _submit(
+        self, request, env, timeout_s, request_id, tenant, trace_ctx,
+        callback: Callable[[PDPResponse], None], binary: bool,
+    ) -> None:
+        self._owed += 1
+        try:
+            self.pdp.submit_nowait(
+                request,
+                callback,
+                environment_roles=env,
+                timeout=timeout_s,
+                request_id=request_id,
+                tenant=tenant,
+                trace_ctx=trace_ctx,
+            )
+        except ServiceError as error:  # the PDP has stopped
+            self._owed -= 1
+            self._error(request_id, str(error), binary)
+
+    # ------------------------------------------------------------------
+    # Outbound
+    # ------------------------------------------------------------------
+    def _reply_binary(self, response: PDPResponse) -> None:
+        self._reply(encode_binary_response(response.request_id, response))
+
+    def _reply_json(self, response: PDPResponse) -> None:
+        self._reply(dumps_line(encode_response(response.request_id, response)))
+
+    def _watch_binary(self, response: PDPResponse) -> None:
+        if self._watch(response):
+            self._binary_grants.add(response.request_id)
+        self._reply_binary(response)
+
+    def _watch_json(self, response: PDPResponse) -> None:
+        self._watch(response)
+        self._reply_json(response)
+
+    def _reply(self, data: bytes) -> None:
+        self._owed -= 1
+        self.write(data)  # a no-op if the peer left with this still queued
+        if self._eof and not self._owed:
+            self.close()
+
+    def _watch(self, response: PDPResponse) -> bool:
+        """Turn a subscribed GRANT resolved against the *live*
+        environment into a standing grant: any supporting role
+        deactivating pushes a revoke.  Registered before the response
+        is written, so a flip arriving right after the decision can
+        never fall between grant and subscription."""
+        if response.outcome is not PDPOutcome.GRANT or response.decision is None:
+            return False
+        request = response.request
+        return self.pdp.grants.register(
+            SessionGrant(
+                session_id=self,
+                grant_id=response.request_id,
+                subject=request.subject,
+                transaction=request.transaction,
+                obj=request.obj,
+                roles=frozenset(response.decision.environment_roles),
+                tenant=response.tenant,
+            )
+        )
+
+    def _push_revocation(self, grant, roles, reason: str, ts: float) -> None:
+        """Queue one ``revoke`` push; called synchronously from the
+        grant-table sweep, which flushes this connection when it ends —
+        a 1k-session sweep is 1k buffer appends and one write each."""
+        revocation = WireRevocation(
+            id=grant.grant_id,
+            subject=grant.subject,
+            transaction=grant.transaction,
+            obj=grant.obj,
+            roles=tuple(roles),
+            reason=reason,
+            ts=ts,
+        )
+        data: Optional[bytes] = None
+        if grant.grant_id in self._binary_grants:
+            self._binary_grants.discard(grant.grant_id)
+            if self.tables is not None:
+                try:
+                    data = encode_binary_revocation(self.tables, revocation)
+                except ServiceError:
+                    pass  # uninterned name: the NDJSON lane carries it
+        if data is None:
+            data = dumps_line(encode_revocation(revocation))
+        # Flip-to-delivery latency, observed as late as the server can
+        # see it: as the push is queued for this sweep's write.
+        self.pdp.record_revocation_latency(time.time() - ts)
+        self.write(data)
 
 
 class _TenantAdminTarget:
