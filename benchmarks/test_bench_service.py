@@ -162,7 +162,7 @@ def measure_wire(policy, stream, expected, loadgen_config, *, wire):
         )
 
     async def scenario():
-        engine = MediationEngine(policy, mode="vectorized")
+        engine = MediationEngine(policy)
         pdp = PolicyDecisionPoint(
             engine,
             PDPConfig(
@@ -290,7 +290,7 @@ def test_bench_service(benchmark, report):
     # ---- wire framing: NDJSON vs binary over a loopback socket ---------
     rows.append("")
     rows.append(
-        "wire framing over TCP (vectorized PDP, loopback, "
+        "wire framing over TCP (loopback, "
         "interned binary vs NDJSON):"
     )
     rows.append(

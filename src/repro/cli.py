@@ -90,7 +90,6 @@ def _print_engine_stats(engine: MediationEngine) -> None:
     # (counters + any per-stage latency histograms tracing recorded).
     stats = engine.stats()
     print("engine stats:")
-    print(f"  {'mode':<32} {stats['mode']}")
     for key in (
         "cache_entries",
         "compile_time_s",
@@ -149,7 +148,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.workload.generator import generate_requests, replay_requests
 
     policy = _load_policy(args.policy)
-    engine = MediationEngine(policy, mode=args.mode, cache_size=args.cache_size)
+    engine = MediationEngine(policy, cache_size=args.cache_size)
     generated = generate_requests(policy, args.requests, seed=args.seed)
     # Warm compile/memos outside the timed window, then measure a
     # steady-state batch replay.
@@ -1378,12 +1377,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--seed", type=int, default=0, help="request-stream seed (default 0)"
-    )
-    bench.add_argument(
-        "--mode",
-        choices=["vectorized", "compiled", "indexed", "naive"],
-        default="compiled",
-        help="decision path to exercise (default compiled)",
     )
     bench.add_argument(
         "--cache-size",

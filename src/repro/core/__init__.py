@@ -29,13 +29,7 @@ from repro.core.mediation import (
     StaticEnvironment,
 )
 from repro.core.objects import Object, Resource
-from repro.core.pipeline import (
-    MODES,
-    STAGE_ORDER,
-    DecisionContext,
-    DecisionPipeline,
-    DecisionStrategy,
-)
+from repro.core.pipeline import STAGE_ORDER, DecisionContext, DecisionPipeline
 from repro.core.permissions import Permission, Sign
 from repro.core.policy import GrbacPolicy
 from repro.core.precedence import Match, PrecedenceStrategy, Resolution, resolve
@@ -70,8 +64,6 @@ __all__ = [
     "Decision",
     "DecisionContext",
     "DecisionPipeline",
-    "DecisionStrategy",
-    "MODES",
     "STAGE_ORDER",
     "InternedHierarchy",
     "EnvironmentSource",

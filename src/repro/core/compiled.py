@@ -21,9 +21,9 @@ The mediation engine keys its snapshot on ``decision_revision``;
 entities and transactions registered *without* touching roles,
 assignments, or permissions (which do not move the revision) are
 resolved against the live policy on the miss path, so the snapshot can
-never serve stale decisions.  Equivalence of the compiled path with
-the indexed and naive paths is property-tested
-(``tests/core/test_compiled.py``) and asserted point-by-point by
+never serve stale decisions.  Equivalence of the engine with the
+literal §4.2.4 quantifier (:mod:`repro.core.oracle`) is property-tested
+(``tests/core/test_properties.py``) and asserted point-by-point by
 benchmark E11 before anything is timed.
 """
 

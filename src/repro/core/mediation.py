@@ -29,14 +29,12 @@ the paper discusses around it:
 Every decision runs through the staged pipeline of
 :mod:`repro.core.pipeline` — resolve subject roles, snapshot the
 environment, expand hierarchy closures, match permissions, resolve
-precedence, apply constraints, emit.  The *compiled* (default,
-interned-ID bitsets — see :mod:`repro.core.compiled`), *vectorized*
-(compiled plus the struct-of-arrays batch kernel of
-:mod:`repro.core.vectorized`), *indexed* (tuple-keyed permission
-index), and *naive* (literal quantifier transcription) paths are
-strategy plug-ins for the expansion/match stages of that one
-pipeline.  They are verified equivalent by property-based tests and
-ablated against each other in benchmark E11.
+precedence, apply constraints, emit.  There is one engine: interned-ID
+bitsets over a compiled policy snapshot (:mod:`repro.core.compiled`),
+shared by ``decide``, ``decide_batch`` and ``check``.  The literal
+quantifier above is kept apart as a reference oracle
+(:mod:`repro.core.oracle`); the engine is verified equivalent to it by
+property-based tests and ablated against it in benchmark E11.
 
 The request/decision value types live in :mod:`repro.core.decision`
 and are re-exported here for compatibility.
@@ -67,9 +65,7 @@ from repro.core.decision import (  # noqa: F401  (re-exported API)
 )
 from repro.core.permissions import Sign
 from repro.core.pipeline import (
-    MODES,
     DecisionPipeline,
-    build_strategy,
     direct_subject_confidences,
     environment_role_names,
     expand_subject_confidences,
@@ -91,15 +87,8 @@ class MediationEngine:
     :param confidence_threshold: policy-wide minimum authentication
         confidence for GRANT matches (the "90% accuracy before the
         system will grant rights" of §5.2).
-    :param use_index: legacy path selector kept for callers predating
-        the compiled engine: ``True`` forces the indexed strategy,
-        ``False`` the naive quantifier transcription.  Leave unset to
-        get the default compiled strategy (or pass ``mode``).
-    :param mode: expansion/match strategy — ``"compiled"`` (default),
-        ``"vectorized"`` (compiled plus the struct-of-arrays batch
-        kernel of :mod:`repro.core.vectorized`), ``"indexed"``, or
-        ``"naive"``.  All four are decision-equivalent
-        (property-tested); they differ only in speed.
+    :param cache_size: capacity of the LRU decision cache (0, the
+        default, disables it) — the one decision memo in ``core/``.
     :param metrics: metrics registry to publish into; a private one is
         created when not supplied, so ``engine.metrics`` always works.
     :param observers: observer hub decisions are published to; a
@@ -111,9 +100,7 @@ class MediationEngine:
         policy: GrbacPolicy,
         environment: Optional[EnvironmentSource] = None,
         confidence_threshold: float = 0.0,
-        use_index: Optional[bool] = None,
         cache_size: int = 0,
-        mode: Optional[str] = None,
         metrics: Optional[MetricsRegistry] = None,
         observers: Optional[ObserverHub] = None,
     ) -> None:
@@ -121,21 +108,9 @@ class MediationEngine:
             raise PolicyError("confidence_threshold must be in [0, 1]")
         if cache_size < 0:
             raise PolicyError("cache_size must be >= 0")
-        if mode is None:
-            if use_index is None:
-                mode = "compiled"
-            else:
-                mode = "indexed" if use_index else "naive"
-        if mode not in MODES:
-            raise PolicyError(
-                f"unknown mediation mode {mode!r}; expected one of {MODES}"
-            )
         self.policy = policy
         self.environment = environment
         self.confidence_threshold = confidence_threshold
-        self.mode = mode
-        #: Back-compat view of :attr:`mode` (the pre-compiled API).
-        self.use_index = mode == "indexed"
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.observers = observers if observers is not None else ObserverHub()
         #: Decision constraints (pipeline stage 6): callables
@@ -152,21 +127,14 @@ class MediationEngine:
         self._cache: "OrderedDict[tuple, Decision]" = OrderedDict()
         self.cache_hits = 0
         self.cache_misses = 0
-        #: Total decisions rendered (all strategies, cache hits
-        #: included), split into grants/denies.  Plain attributes —
-        #: not registry counters — on purpose: the decision path pays
-        #: one integer add, and :meth:`stats` syncs them into the
-        #: registry when anyone looks.
+        #: Total decisions rendered (cache hits included), split into
+        #: grants/denies.  Plain attributes — not registry counters —
+        #: on purpose: the decision path pays one integer add, and
+        #: :meth:`stats` syncs them into the registry when anyone looks.
         self.decisions = 0
         self.grants = 0
         self.denies = 0
-        self.strategy = build_strategy(mode, self)
-        self.pipeline = DecisionPipeline(self, self.strategy)
-        #: Strategy-owned batch fast lane (the vectorized struct-of-
-        #: arrays kernel); ``None`` for strategies without one.
-        self._batch_kernel = (
-            self.strategy.decide_batch if mode == "vectorized" else None
-        )
+        self.pipeline = DecisionPipeline(self)
 
     # ------------------------------------------------------------------
     # Public API
@@ -205,11 +173,13 @@ class MediationEngine:
     ) -> List[Decision]:
         """Mediate many requests, amortizing per-request setup.
 
-        The batch path shares one snapshot lookup per request stream
-        and reuses the strategy's expansion memos (subject profiles,
-        object profiles, environment closures) across the whole batch —
-        with Zipf-shaped traffic most requests hit a memoized profile
-        and skip role expansion entirely.
+        A batch is the loop over the per-request kernel ``decide``
+        runs, so batch-of-one and batch-of-N agree by construction;
+        what it amortizes is environment resolution up front and the
+        pipeline's expansion memos (subject profiles, object profiles,
+        environment closures) across the whole batch — with Zipf-shaped
+        traffic most requests hit a memoized profile and skip role
+        expansion entirely.
 
         :param requests: the access requests, in order.
         :param session: optional session applied to *every* request
@@ -239,17 +209,6 @@ class MediationEngine:
                 resolve_env(r, override)
                 for r, override in zip(batch, overrides)
             ]
-        if (
-            self._batch_kernel is not None
-            and session is None
-            and not self.decision_constraints
-        ):
-            # Vectorized mode: hand the whole batch to the struct-of-
-            # arrays kernel (environment pre-pruning + decision
-            # templates).  The kernel's templates supersede the LRU —
-            # sessions and constraints fall back to the scalar loop
-            # because both can carry state outside the template key.
-            return self._batch_kernel(batch, envs)
         decide_one = self._decide_one
         return [
             decide_one(r, session, env) for r, env in zip(batch, envs)
@@ -286,24 +245,14 @@ class MediationEngine:
         returned dict.
         """
         data: Dict[str, object] = {
-            "mode": self.mode,
             "decisions": self.decisions,
             "grants": self.grants,
             "denies": self.denies,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "cache_entries": len(self._cache),
-            # Strategy-owned counters; overridden below when the
-            # strategy tracks them (the compiled one does).
-            "compile_count": 0,
-            "compile_time_s": 0.0,
-            "snapshot_revision": None,
-            "compiled_rules": 0,
-            "subject_profiles": 0,
-            "object_profiles": 0,
-            "environment_profiles": 0,
+            **self.pipeline.stats(),
         }
-        data.update(self.strategy.stats())
         metrics = self.metrics
         for key in (
             "decisions",
@@ -315,6 +264,42 @@ class MediationEngine:
         ):
             metrics.counter(f"engine.{key}").set(int(data[key]))  # type: ignore[arg-type]
         return data
+
+    def settings(self) -> tuple:
+        """Everything a deployment configures on an engine besides its
+        policy — what :meth:`like` carries over, comparable with ``==``."""
+        return (
+            self.environment,
+            self.confidence_threshold,
+            self.cache_size,
+            self.decision_constraints,
+            self.metrics,
+            self.observers,
+        )
+
+    def like(self, policy: GrbacPolicy) -> "MediationEngine":
+        """An engine like this one, on ``policy``, ready to serve.
+
+        Carries over the environment source, confidence threshold,
+        decision-cache sizing, decision constraints, metrics registry
+        and observer hub, and pre-compiles ``policy`` so the first
+        decision does not pay for it.  Every second engine the serving
+        layer builds (policy swap, pinned tenant, store-backed tenant)
+        comes from here, so none of them can drop a setting — a tenant
+        served with the §5.2 gate or a vetoing constraint silently off
+        would be a fail-open.
+        """
+        engine = MediationEngine(
+            policy,
+            environment=self.environment,
+            confidence_threshold=self.confidence_threshold,
+            cache_size=self.cache_size,
+            metrics=self.metrics,
+            observers=self.observers,
+        )
+        engine.decision_constraints = list(self.decision_constraints)
+        policy.compiled()
+        return engine
 
     # ------------------------------------------------------------------
     # Decision internals
@@ -352,6 +337,9 @@ class MediationEngine:
                 self._cache.move_to_end(cache_key)
                 self.cache_hits += 1
                 self._tally(cached)
+                hub = self.observers
+                if hub:
+                    hub.emit_decision(cached, None)
                 return cached
             self.cache_misses += 1
 

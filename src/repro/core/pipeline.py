@@ -1,9 +1,9 @@
-"""The staged decision pipeline — one mediation path for every mode.
+"""The staged decision pipeline — the one mediation engine.
 
 GRBAC's access mediation rule (§4.2.4) is a fixed sequence; this
 module makes that sequence explicit.  Every decision — ``decide``,
-``decide_batch``, ``check``, any mode — runs the same seven stages
-over one shared :class:`DecisionContext`:
+``decide_batch``, ``check`` — runs the same seven stages over one
+shared :class:`DecisionContext`:
 
 1. :class:`ResolveSubjectRoles` — which subject roles (with what
    authentication confidence) can the requester use, after the §4.1.2
@@ -25,15 +25,14 @@ over one shared :class:`DecisionContext`:
    :class:`~repro.core.decision.Decision` and publish it to any
    subscribed observers.
 
-The naive / indexed / compiled decision paths that used to be three
-parallel ``_decide_*`` functions are now *strategies*
-(:class:`NaiveStrategy`, :class:`IndexedStrategy`,
-:class:`CompiledStrategy`) plugged into stages 1, 3, and 4.  A
-strategy may fuse work across its stages for speed — the compiled
-strategy serves subject resolution and expansion from one memoized
-profile — but stage *outputs* (role sets, confidences, matches) are
-identical across strategies, which is what the 3-way equivalence
-property pins down.
+Stages 1, 3 and 4 are :class:`DecisionPipeline`'s own kernel:
+interned-ID bitset tests over an immutable
+:class:`~repro.core.compiled.CompiledPolicy` snapshot, with memoized
+subject / session / object / environment profiles.  There is no other
+production path.  The literal §4.2.4 quantifier lives apart in
+:mod:`repro.core.oracle`, built from the string-set helpers below and
+sharing nothing with the kernel; every equivalence property is the
+engine against that oracle.
 
 Tracing: ``execute(..., trace=True)`` wraps every stage in a timed
 :class:`~repro.obs.trace.StageSpan` and feeds per-stage latency
@@ -44,7 +43,6 @@ keeps instrumentation overhead inside the E11 budget.
 
 from __future__ import annotations
 
-import itertools
 import time
 import weakref
 from typing import (
@@ -59,16 +57,12 @@ from typing import (
 
 from repro.core.activation import Session
 from repro.core.compiled import CompiledPolicy
-from repro.core.vectorized import VectorTable
 from repro.core.decision import WILDCARD_DISTANCE, AccessRequest, Decision
 from repro.core.permissions import Permission, Sign
 from repro.core.precedence import Match, Resolution, resolve
 from repro.core.roles import ANY_ENVIRONMENT, ANY_OBJECT
 from repro.exceptions import PolicyError
 from repro.obs.trace import DecisionTrace
-
-#: The expansion/match strategies an engine can run.
-MODES = ("compiled", "vectorized", "indexed", "naive")
 
 #: Stage names in execution order (the trace vocabulary).
 STAGE_ORDER = (
@@ -83,7 +77,7 @@ STAGE_ORDER = (
 
 
 # ----------------------------------------------------------------------
-# Shared role-resolution helpers (used by every strategy + diagnose)
+# String-set role resolution (the engine's miss paths, the oracle, diagnose)
 # ----------------------------------------------------------------------
 def restricted_assigned_roles(
     policy, request: AccessRequest, session: Optional[Session]
@@ -92,7 +86,7 @@ def restricted_assigned_roles(
 
     This is the single implementation of the §4.1.2 activation
     restriction — *only roles in the active role set can be used to
-    execute transactions* — that every strategy shares: resolve the
+    execute transactions* — that the engine and the oracle share: resolve the
     subject (raising for unknown names exactly once, in one place),
     then intersect the assigned set with the session's active roles
     when a session accompanies the request.
@@ -260,15 +254,12 @@ class DecisionContext:
         "active_env",
         "trace",
         # stage 1: resolve-subject-roles
-        "direct_subject_confidences",  # string strategies only
         "subject_confidences",
-        "subject_state",  # strategy-private (compiled masks/distances)
+        "subject_state",  # kernel-private (masks/distances)
         # stage 3: expand-closures
         "object_roles",
-        "direct_object_roles",
         "object_state",
         "environment_roles",
-        "direct_environment_roles",
         "environment_state",
         # stages 4-7
         "matches",
@@ -298,167 +289,188 @@ def _ctx_get(ctx: DecisionContext, name: str):
 
 
 # ----------------------------------------------------------------------
-# Strategies: how ResolveSubjectRoles / ExpandClosures / MatchPermissions
-# compute their outputs
+# Stages
 # ----------------------------------------------------------------------
-class DecisionStrategy:
-    """Computes the strategy-dependent stages of the pipeline.
-
-    One instance per engine; strategies own whatever acceleration
-    state their mode needs (tuple index, compiled snapshot, expansion
-    memos) and report it through :meth:`stats`.
-    """
+class Stage:
+    """One pipeline stage: a ``run`` mutation of the context plus an
+    ``annotate`` summary used when the decision is traced."""
 
     name = "abstract"
+
+    def __init__(
+        self, engine, run: Optional[Callable[[DecisionContext], None]] = None
+    ) -> None:
+        self.engine = engine
+        if run is not None:
+            # Stages 1, 3 and 4 run the pipeline's kernel methods bound
+            # straight onto the stage: no extra call frame per decision
+            # on the untraced hot path.
+            self.run = run
+
+    def run(self, ctx: DecisionContext) -> None:  # pragma: no cover - interface
+        raise NotImplementedError
+
+    def annotate(self, ctx: DecisionContext) -> Dict[str, object]:
+        return {}
+
+
+class ResolveSubjectRoles(Stage):
+    name = "resolve-subject-roles"
+
+    def annotate(self, ctx: DecisionContext) -> Dict[str, object]:
+        confidences = _ctx_get(ctx, "subject_confidences") or {}
+        return {"effective": len(confidences)}
+
+
+class SnapshotEnvironment(Stage):
+    name = "snapshot-environment"
+
+    def run(self, ctx: DecisionContext) -> None:
+        if ctx.active_env is None:
+            ctx.active_env = self.engine._resolve_active_env(
+                ctx.request, ctx.env_override
+            )
+
+    def annotate(self, ctx: DecisionContext) -> Dict[str, object]:
+        return {"active": ",".join(sorted(ctx.active_env or ())) or "-"}
+
+
+class ExpandClosures(Stage):
+    name = "expand-closures"
+
+    def annotate(self, ctx: DecisionContext) -> Dict[str, object]:
+        return {
+            "subject": len(_ctx_get(ctx, "subject_confidences") or ()),
+            "object": len(_ctx_get(ctx, "object_roles") or ()),
+            "environment": len(_ctx_get(ctx, "environment_roles") or ()),
+        }
+
+
+class MatchPermissions(Stage):
+    name = "match-permissions"
+
+    def annotate(self, ctx: DecisionContext) -> Dict[str, object]:
+        matches = _ctx_get(ctx, "matches") or ()
+        denies = sum(1 for m in matches if m.sign is Sign.DENY)
+        return {"matches": len(matches), "denies": denies}
+
+
+class ResolvePrecedence(Stage):
+    name = "resolve-precedence"
+
+    def run(self, ctx: DecisionContext) -> None:
+        policy = self.engine.policy
+        ctx.resolution = resolve(
+            ctx.matches, policy.precedence, policy.default_sign
+        )
+
+    def annotate(self, ctx: DecisionContext) -> Dict[str, object]:
+        return {
+            "strategy": self.engine.policy.precedence.value,
+            "sign": ctx.resolution.sign.value,
+        }
+
+
+class ApplyConstraints(Stage):
+    """Run engine-registered decision constraints.
+
+    A decision constraint is a callable ``(ctx) -> Optional[str]``; a
+    non-empty return is a veto reason.  Vetoes only ever *narrow* a
+    decision — they can turn a grant into a deny, never the reverse —
+    so the stage preserves the fail-closed invariant.  No constraints
+    are registered by default, making this stage a no-op.
+    """
+
+    name = "apply-constraints"
+
+    def run(self, ctx: DecisionContext) -> None:
+        constraints = self.engine.decision_constraints
+        if not constraints:
+            return
+        vetoes = [
+            reason
+            for reason in (constraint(ctx) for constraint in constraints)
+            if reason
+        ]
+        ctx.vetoes = vetoes
+        if vetoes and ctx.resolution.sign is Sign.GRANT:
+            ctx.resolution = Resolution(
+                Sign.DENY,
+                ctx.resolution.winner,
+                "constraint veto: " + "; ".join(vetoes),
+            )
+
+    def annotate(self, ctx: DecisionContext) -> Dict[str, object]:
+        return {
+            "checks": len(self.engine.decision_constraints),
+            "vetoes": len(_ctx_get(ctx, "vetoes") or ()),
+        }
+
+
+class EmitDecision(Stage):
+    name = "emit-decision"
+
+    def run(self, ctx: DecisionContext) -> None:
+        resolution = ctx.resolution
+        granted = resolution.sign is Sign.GRANT
+        trace = ctx.trace
+        if trace is not None:
+            trace.granted = granted
+            trace.rationale = resolution.rationale
+            trace.subject_roles = dict(ctx.subject_confidences)
+            trace.object_roles = sorted(ctx.object_roles)
+            trace.environment_roles = sorted(ctx.environment_roles)
+            trace.matched_rules = [
+                m.permission.describe() for m in ctx.matches
+            ]
+        ctx.decision = decision = Decision(
+            request=ctx.request,
+            granted=granted,
+            resolution=resolution,
+            matches=tuple(ctx.matches),
+            subject_role_confidence=dict(ctx.subject_confidences),
+            object_roles=frozenset(ctx.object_roles),
+            environment_roles=frozenset(ctx.environment_roles),
+            trace=trace,
+        )
+        hub = self.engine.observers
+        if hub:
+            hub.emit_decision(decision, trace)
+
+    def annotate(self, ctx: DecisionContext) -> Dict[str, object]:
+        return {"granted": ctx.decision.granted}
+
+
+# ----------------------------------------------------------------------
+# The pipeline
+# ----------------------------------------------------------------------
+class DecisionPipeline:
+    """Runs the seven stages over a context, untraced or traced.
+
+    Both paths execute the *same* stage objects in the same order; the
+    traced path additionally times each stage, records a
+    :class:`~repro.obs.trace.StageSpan` with the stage's annotation,
+    and feeds the per-stage latency histograms of the engine's metrics
+    registry.
+
+    The pipeline also *is* the mediation kernel behind stages 1, 3 and
+    4: interned-ID bitset tests served from an immutable
+    :class:`~repro.core.compiled.CompiledPolicy` snapshot (see
+    :mod:`repro.core.compiled` and ``docs/PERFORMANCE.md``), which it
+    reloads — dropping every expansion memo — whenever the policy's
+    ``decision_revision`` moves.
+
+    Stage fusion: the memoized subject profile already carries the
+    hierarchy-expanded closure, so subject expansion happens inside
+    :meth:`resolve_subject`; :meth:`expand` covers the object and
+    environment dimensions.  Stage *outputs* are the ones the §4.2.4
+    oracle (:mod:`repro.core.oracle`) computes from string sets — that
+    is property-tested.
+    """
 
     def __init__(self, engine) -> None:
         self.engine = engine
         self.policy = engine.policy
-
-    def resolve_subject(self, ctx: DecisionContext) -> None:
-        raise NotImplementedError
-
-    def expand(self, ctx: DecisionContext) -> None:
-        raise NotImplementedError
-
-    def match(self, ctx: DecisionContext) -> None:
-        raise NotImplementedError
-
-    def stats(self) -> Dict[str, object]:
-        """Strategy-owned counters merged into ``engine.stats()``."""
-        return {}
-
-
-class _StringSetStrategy(DecisionStrategy):
-    """Shared machinery for the naive and indexed strategies: role
-    expansion over string sets, matches built permission-by-permission."""
-
-    def resolve_subject(self, ctx: DecisionContext) -> None:
-        ctx.direct_subject_confidences = direct_subject_confidences(
-            self.policy, ctx.request, ctx.session
-        )
-
-    def expand(self, ctx: DecisionContext) -> None:
-        policy = self.policy
-        ctx.subject_confidences = expand_subject_confidences(
-            policy, ctx.direct_subject_confidences
-        )
-        ctx.object_roles, ctx.direct_object_roles = object_role_names(
-            policy, ctx.request.obj
-        )
-        ctx.environment_roles, ctx.direct_environment_roles = (
-            environment_role_names(policy, ctx.active_env)
-        )
-
-    def _build_match(self, ctx: DecisionContext, permission: Permission) -> Match:
-        directs = (
-            set(ctx.direct_subject_confidences),
-            ctx.direct_object_roles,
-            ctx.direct_environment_roles,
-        )
-        return Match(
-            permission=permission,
-            subject_role=permission.subject_role,
-            object_role=permission.object_role,
-            environment_role=permission.environment_role,
-            specificity=rule_specificity(self.policy, permission, directs),
-            confidence=ctx.subject_confidences[permission.subject_role.name],
-        )
-
-
-class NaiveStrategy(_StringSetStrategy):
-    """Literal transcription of the §4.2.4 quantifier rule — the
-    ground truth the fast strategies are property-tested against."""
-
-    name = "naive"
-
-    def match(self, ctx: DecisionContext) -> None:
-        policy = self.policy
-        policy.transaction(ctx.request.transaction)
-        confidences = ctx.subject_confidences
-        object_roles = ctx.object_roles
-        env_roles = ctx.environment_roles
-        matches: List[Match] = []
-        for permission in policy.permissions():
-            if permission.transaction.name != ctx.request.transaction:
-                continue
-            if permission.subject_role.name not in confidences:
-                continue
-            if permission.object_role.name not in object_roles:
-                continue
-            if permission.environment_role.name not in env_roles:
-                continue
-            matches.append(self._build_match(ctx, permission))
-        ctx.matches = apply_confidence_gate(
-            matches, self.engine.confidence_threshold
-        )
-
-
-class IndexedStrategy(_StringSetStrategy):
-    """Tuple-keyed permission index over the requester's effective
-    (subject role x object role) pairs."""
-
-    name = "indexed"
-
-    def __init__(self, engine) -> None:
-        super().__init__(engine)
-        #: (transaction, subject_role, object_role) -> permissions
-        self._index: Dict[Tuple[str, str, str], List[Permission]] = {}
-        self._permission_order: Dict[tuple, int] = {}
-        self._indexed_revision = -1  # force initial build
-
-    def match(self, ctx: DecisionContext) -> None:
-        self.policy.transaction(ctx.request.transaction)
-        self._refresh_index()
-        transaction = ctx.request.transaction
-        matches: List[Match] = []
-        for subject_role, object_role in itertools.product(
-            ctx.subject_confidences, ctx.object_roles
-        ):
-            for permission in self._index.get(
-                (transaction, subject_role, object_role), ()
-            ):
-                if permission.environment_role.name in ctx.environment_roles:
-                    matches.append(self._build_match(ctx, permission))
-        # Keep policy insertion order for deterministic resolution.
-        matches.sort(key=lambda m: self._permission_order[m.permission.key])
-        ctx.matches = apply_confidence_gate(
-            matches, self.engine.confidence_threshold
-        )
-
-    def _refresh_index(self) -> None:
-        if self.policy.permission_revision == self._indexed_revision:
-            return
-        permissions = self.policy.permissions()
-        self._index = {}
-        self._permission_order = {}
-        for position, permission in enumerate(permissions):
-            key = (
-                permission.transaction.name,
-                permission.subject_role.name,
-                permission.object_role.name,
-            )
-            self._index.setdefault(key, []).append(permission)
-            self._permission_order[permission.key] = position
-        self._indexed_revision = self.policy.permission_revision
-
-
-class CompiledStrategy(DecisionStrategy):
-    """Interned-ID bitset mediation served from an immutable
-    :class:`~repro.core.compiled.CompiledPolicy` snapshot (see
-    :mod:`repro.core.compiled` and ``docs/PERFORMANCE.md``).
-
-    Stage fusion: the memoized subject profile already carries the
-    hierarchy-expanded closure, so for this strategy subject expansion
-    happens inside :meth:`resolve_subject`; :meth:`expand` covers the
-    object and environment dimensions.  Stage *outputs* remain
-    identical to the string strategies — that is property-tested.
-    """
-
-    name = "compiled"
-
-    def __init__(self, engine) -> None:
-        super().__init__(engine)
         #: Snapshot this engine currently serves.
         self._snapshot: Optional[CompiledPolicy] = None
         #: Snapshot (re)loads observed, and the time spent waiting on
@@ -477,6 +489,70 @@ class CompiledStrategy(DecisionStrategy):
         self._object_memo: Dict[str, tuple] = {}
         #: frozenset of direct env roles -> (mask, names, distances).
         self._env_memo: Dict[FrozenSet[str], tuple] = {}
+        self.stages: Tuple[Stage, ...] = (
+            ResolveSubjectRoles(engine, self.resolve_subject),
+            SnapshotEnvironment(engine),
+            ExpandClosures(engine, self.expand),
+            MatchPermissions(engine, self.match),
+            ResolvePrecedence(engine),
+            ApplyConstraints(engine),
+            EmitDecision(engine),
+        )
+        #: Pre-extracted runners: the untraced per-decision loop costs
+        #: seven calls and nothing else.
+        self._runners: Tuple[Callable[[DecisionContext], None], ...] = tuple(
+            stage.run for stage in self.stages
+        )
+
+    def execute(
+        self,
+        request: AccessRequest,
+        session: Optional[Session] = None,
+        active_env: Optional[FrozenSet[str]] = None,
+        env_override: Optional[Set[str]] = None,
+        trace: bool = False,
+    ) -> Decision:
+        """Mediate one request through every stage.
+
+        ``active_env`` short-circuits :class:`SnapshotEnvironment`
+        when the engine already resolved the environment (it needs it
+        for the decision-cache key); otherwise the stage resolves
+        ``env_override`` / the engine's environment source itself.
+        """
+        if not trace:
+            ctx = DecisionContext(request, session, active_env, env_override)
+            for run in self._runners:
+                run(ctx)
+            return ctx.decision
+        return self._execute_traced(
+            DecisionContext(
+                request,
+                session,
+                active_env,
+                env_override,
+                trace=DecisionTrace(
+                    subject=request.subject,
+                    transaction=request.transaction,
+                    obj=request.obj,
+                    mode="compiled",
+                ),
+            )
+        )
+
+    def _execute_traced(self, ctx: DecisionContext) -> Decision:
+        trace = ctx.trace
+        metrics = self.engine.metrics
+        perf_counter = time.perf_counter
+        total = 0.0
+        for stage in self.stages:
+            started = perf_counter()
+            stage.run(ctx)
+            duration = perf_counter() - started
+            total += duration
+            trace.add_span(stage.name, duration, stage.annotate(ctx))
+            metrics.observe(f"pipeline.{stage.name}", duration)
+        metrics.observe("pipeline.total", total)
+        return ctx.decision
 
     # -- snapshot lifecycle -------------------------------------------
     def snapshot(self) -> CompiledPolicy:
@@ -641,7 +717,7 @@ class CompiledStrategy(DecisionStrategy):
         else:
             # Registered after the snapshot was compiled (transactions
             # carry no revision) or simply unknown — the live lookup
-            # raises exactly like the other strategies for the latter.
+            # raises for the latter.
             self.policy.transaction(transaction)
             bucket = None
 
@@ -669,11 +745,7 @@ class CompiledStrategy(DecisionStrategy):
         self._finish_matches(ctx, raw)
 
     def _finish_matches(self, ctx: DecisionContext, raw: List) -> None:
-        """Confidence-gate ``raw`` compiled rules and build the Matches.
-
-        Shared tail of the compiled and vectorized match stages: the
-        strategies differ only in how they *collect* candidate rules.
-        """
+        """Confidence-gate ``raw`` compiled rules and build the Matches."""
         subject_distances = ctx.subject_state[1]
         confidence_by_id = ctx.subject_state[2]
         uniform = ctx.subject_state[3]
@@ -727,450 +799,3 @@ class CompiledStrategy(DecisionStrategy):
                 )
             )
         ctx.matches = matches
-
-
-class VectorizedStrategy(CompiledStrategy):
-    """Struct-of-arrays mediation over :class:`~repro.core.vectorized.VectorTable`.
-
-    Subject/object/environment resolution is inherited from the
-    compiled strategy (same memoized profiles, same snapshot
-    lifecycle); what changes is the match stage and the batch lane:
-
-    * :meth:`match` collects candidates from environment-pre-pruned,
-      object-grouped rule columns instead of walking per-rule tuples —
-      the active-environment membership is applied to each bucket once
-      per environment profile and memoized for the snapshot's
-      lifetime;
-    * :meth:`decide_batch` (reached through
-      :meth:`MediationEngine.decide_batch` in ``vectorized`` mode)
-      additionally serves repeated uniform-confidence requests from
-      revision-scoped decision templates, skipping the pipeline
-      entirely on a template hit.
-
-    Decision outputs are identical to the compiled path — property-
-    tested in ``tests/core/test_vectorized.py``.
-    """
-
-    name = "vectorized"
-
-    #: Defensive bounds: distinct environment profiles and decision
-    #: templates seen per snapshot revision before the memo resets.
-    MAX_ENV_PROFILES = 1024
-    MAX_TEMPLATES = 65536
-
-    def __init__(self, engine) -> None:
-        super().__init__(engine)
-        self._tables: Optional[VectorTable] = None
-        #: env frozenset -> (membership bytes, {(transaction,
-        #: subject_id): pruned object-grouped rules}).
-        self._pruned: Dict[FrozenSet[str], tuple] = {}
-        #: (subject, transaction, object, env, confidence) -> Decision,
-        #: valid for one snapshot revision + one knob guard.
-        self._templates: Dict[tuple, Decision] = {}
-        #: (threshold, precedence, default_sign) the templates were
-        #: rendered under — these knobs can move without a revision
-        #: bump, so the batch lane re-checks them per batch.
-        self._template_guard: Optional[tuple] = None
-
-    def snapshot(self) -> CompiledPolicy:
-        before = self._snapshot
-        snap = super().snapshot()
-        if snap is not before:
-            self._tables = VectorTable(snap)
-            self._pruned.clear()
-            self._templates.clear()
-        return snap
-
-    def stats(self) -> Dict[str, object]:
-        data = super().stats()
-        data["decision_templates"] = len(self._templates)
-        data["environment_prunes"] = len(self._pruned)
-        if self._tables is not None:
-            data.update(self._tables.stats())
-        return data
-
-    # -- stage 4 (columnar) --------------------------------------------
-    def match(self, ctx: DecisionContext) -> None:
-        snapshot = self._snapshot
-        transaction = ctx.request.transaction
-        if transaction in snapshot.transactions:
-            has_rules = transaction in snapshot.rules
-        else:
-            # Same fallback as the compiled path: raise for unknown
-            # transactions, no rules for post-snapshot registrations.
-            self.policy.transaction(transaction)
-            has_rules = False
-
-        subject_mask = ctx.subject_state[0]
-        object_mask = ctx.object_state[0]
-        env_mask = ctx.environment_state[0]
-
-        raw: List = []
-        if has_rules:
-            env_member, pruned = self._env_entry(ctx.active_env, env_mask)
-            tables = self._tables
-            remaining = subject_mask
-            while remaining:
-                bit = remaining & -remaining
-                remaining ^= bit
-                key = (transaction, bit.bit_length() - 1)
-                groups = pruned.get(key)
-                if groups is None:
-                    columns = tables.bucket(*key)
-                    groups = () if columns is None else columns.prune(env_member)
-                    pruned[key] = groups
-                for object_id, rules in groups:
-                    if (object_mask >> object_id) & 1:
-                        raw.extend(rules)
-            if len(raw) > 1:
-                raw.sort()
-        self._finish_matches(ctx, raw)
-
-    def _env_entry(
-        self, active_env: Optional[FrozenSet[str]], env_mask: int
-    ) -> tuple:
-        """(membership bytes, pruned-bucket memo) for one env profile.
-
-        This is the per-flush environment work: the membership vector
-        is decoded from the closure bitset once, and every bucket
-        visited under it is pruned once — both reused for the
-        snapshot's lifetime.
-        """
-        entry = self._pruned.get(active_env)
-        if entry is None:
-            if len(self._pruned) >= self.MAX_ENV_PROFILES:
-                self._pruned.clear()
-            entry = (self._tables.environment_membership(env_mask), {})
-            self._pruned[active_env] = entry
-        return entry
-
-    # -- batch lane ----------------------------------------------------
-    def decide_batch(
-        self,
-        batch: List[AccessRequest],
-        active_envs: List[FrozenSet[str]],
-    ) -> List[Decision]:
-        """Render a batch, serving repeats from decision templates.
-
-        Uniform-confidence requests (no role claims) key a template on
-        ``(subject, transaction, object, environment profile, identity
-        confidence)``; within one snapshot revision and one knob guard
-        that key determines the full decision, so repeats return the
-        memoized :class:`Decision` without re-entering the pipeline —
-        the same reuse the engine's LRU provides, but revision-scoped
-        and free of capacity tuning.  Requests carrying role claims
-        run the (vectorized) pipeline per request.
-        """
-        engine = self.engine
-        policy = self.policy
-        snap = self.snapshot()
-        revision = snap.revision
-        guard = (
-            engine.confidence_threshold,
-            policy.precedence,
-            policy.default_sign,
-        )
-        if guard != self._template_guard:
-            self._templates.clear()
-            self._template_guard = guard
-        templates = self._templates
-        execute = engine.pipeline.execute
-        hub = engine.observers
-        emit = hub.emit_decision if hub else None
-        decisions: List[Decision] = []
-        rendered = 0
-        grants = 0
-        try:
-            for request, active_env in zip(batch, active_envs):
-                if policy.decision_revision != revision:
-                    # A mid-batch mutation (observer side effects);
-                    # refresh the snapshot and drop stale templates.
-                    snap = self.snapshot()
-                    revision = snap.revision
-                    templates = self._templates
-                if request.role_claims:
-                    decision = execute(request, active_env=active_env)
-                else:
-                    key = (
-                        request.subject,
-                        request.transaction,
-                        request.obj,
-                        active_env,
-                        request.identity_confidence,
-                    )
-                    decision = templates.get(key)
-                    if decision is None:
-                        decision = execute(request, active_env=active_env)
-                        if len(templates) >= self.MAX_TEMPLATES:
-                            templates.clear()
-                        templates[key] = decision
-                    elif emit is not None:
-                        emit(decision, None)
-                decisions.append(decision)
-                rendered += 1
-                if decision.granted:
-                    grants += 1
-        finally:
-            engine.decisions += rendered
-            engine.grants += grants
-            engine.denies += rendered - grants
-        return decisions
-
-
-def build_strategy(mode: str, engine) -> DecisionStrategy:
-    """Construct the strategy implementing ``mode`` for ``engine``."""
-    if mode == "compiled":
-        return CompiledStrategy(engine)
-    if mode == "vectorized":
-        return VectorizedStrategy(engine)
-    if mode == "indexed":
-        return IndexedStrategy(engine)
-    if mode == "naive":
-        return NaiveStrategy(engine)
-    raise PolicyError(f"unknown mediation mode {mode!r}; expected one of {MODES}")
-
-
-# ----------------------------------------------------------------------
-# Stages
-# ----------------------------------------------------------------------
-class Stage:
-    """One pipeline stage: a ``run`` mutation of the context plus an
-    ``annotate`` summary used when the decision is traced."""
-
-    name = "abstract"
-
-    def __init__(self, engine, strategy: DecisionStrategy) -> None:
-        self.engine = engine
-        self.strategy = strategy
-
-    def run(self, ctx: DecisionContext) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def annotate(self, ctx: DecisionContext) -> Dict[str, object]:
-        return {}
-
-
-class ResolveSubjectRoles(Stage):
-    name = "resolve-subject-roles"
-
-    def __init__(self, engine, strategy: DecisionStrategy) -> None:
-        super().__init__(engine, strategy)
-        # Bind straight to the strategy: saves a call frame per
-        # decision on the untraced hot path, with identical semantics.
-        self.run = strategy.resolve_subject
-
-    def annotate(self, ctx: DecisionContext) -> Dict[str, object]:
-        direct = _ctx_get(ctx, "direct_subject_confidences")
-        if direct is not None:
-            return {"direct": ",".join(sorted(direct)) or "-"}
-        confidences = _ctx_get(ctx, "subject_confidences") or {}
-        return {"effective": len(confidences)}
-
-
-class SnapshotEnvironment(Stage):
-    name = "snapshot-environment"
-
-    def run(self, ctx: DecisionContext) -> None:
-        if ctx.active_env is None:
-            ctx.active_env = self.engine._resolve_active_env(
-                ctx.request, ctx.env_override
-            )
-
-    def annotate(self, ctx: DecisionContext) -> Dict[str, object]:
-        return {"active": ",".join(sorted(ctx.active_env or ())) or "-"}
-
-
-class ExpandClosures(Stage):
-    name = "expand-closures"
-
-    def __init__(self, engine, strategy: DecisionStrategy) -> None:
-        super().__init__(engine, strategy)
-        self.run = strategy.expand
-
-    def annotate(self, ctx: DecisionContext) -> Dict[str, object]:
-        return {
-            "subject": len(_ctx_get(ctx, "subject_confidences") or ()),
-            "object": len(_ctx_get(ctx, "object_roles") or ()),
-            "environment": len(_ctx_get(ctx, "environment_roles") or ()),
-        }
-
-
-class MatchPermissions(Stage):
-    name = "match-permissions"
-
-    def __init__(self, engine, strategy: DecisionStrategy) -> None:
-        super().__init__(engine, strategy)
-        self.run = strategy.match
-
-    def annotate(self, ctx: DecisionContext) -> Dict[str, object]:
-        matches = _ctx_get(ctx, "matches") or ()
-        denies = sum(1 for m in matches if m.sign is Sign.DENY)
-        return {"matches": len(matches), "denies": denies}
-
-
-class ResolvePrecedence(Stage):
-    name = "resolve-precedence"
-
-    def run(self, ctx: DecisionContext) -> None:
-        policy = self.engine.policy
-        ctx.resolution = resolve(
-            ctx.matches, policy.precedence, policy.default_sign
-        )
-
-    def annotate(self, ctx: DecisionContext) -> Dict[str, object]:
-        return {
-            "strategy": self.engine.policy.precedence.value,
-            "sign": ctx.resolution.sign.value,
-        }
-
-
-class ApplyConstraints(Stage):
-    """Run engine-registered decision constraints.
-
-    A decision constraint is a callable ``(ctx) -> Optional[str]``; a
-    non-empty return is a veto reason.  Vetoes only ever *narrow* a
-    decision — they can turn a grant into a deny, never the reverse —
-    so the stage preserves the fail-closed invariant.  No constraints
-    are registered by default, making this stage a no-op.
-    """
-
-    name = "apply-constraints"
-
-    def run(self, ctx: DecisionContext) -> None:
-        constraints = self.engine.decision_constraints
-        if not constraints:
-            return
-        vetoes = [
-            reason
-            for reason in (constraint(ctx) for constraint in constraints)
-            if reason
-        ]
-        ctx.vetoes = vetoes
-        if vetoes and ctx.resolution.sign is Sign.GRANT:
-            ctx.resolution = Resolution(
-                Sign.DENY,
-                ctx.resolution.winner,
-                "constraint veto: " + "; ".join(vetoes),
-            )
-
-    def annotate(self, ctx: DecisionContext) -> Dict[str, object]:
-        return {
-            "checks": len(self.engine.decision_constraints),
-            "vetoes": len(_ctx_get(ctx, "vetoes") or ()),
-        }
-
-
-class EmitDecision(Stage):
-    name = "emit-decision"
-
-    def run(self, ctx: DecisionContext) -> None:
-        resolution = ctx.resolution
-        granted = resolution.sign is Sign.GRANT
-        trace = ctx.trace
-        if trace is not None:
-            trace.granted = granted
-            trace.rationale = resolution.rationale
-            trace.subject_roles = dict(ctx.subject_confidences)
-            trace.object_roles = sorted(ctx.object_roles)
-            trace.environment_roles = sorted(ctx.environment_roles)
-            trace.matched_rules = [
-                m.permission.describe() for m in ctx.matches
-            ]
-        ctx.decision = decision = Decision(
-            request=ctx.request,
-            granted=granted,
-            resolution=resolution,
-            matches=tuple(ctx.matches),
-            subject_role_confidence=dict(ctx.subject_confidences),
-            object_roles=frozenset(ctx.object_roles),
-            environment_roles=frozenset(ctx.environment_roles),
-            trace=trace,
-        )
-        hub = self.engine.observers
-        if hub:
-            hub.emit_decision(decision, trace)
-
-    def annotate(self, ctx: DecisionContext) -> Dict[str, object]:
-        return {"granted": ctx.decision.granted}
-
-
-# ----------------------------------------------------------------------
-# The pipeline
-# ----------------------------------------------------------------------
-class DecisionPipeline:
-    """Runs the seven stages over a context, untraced or traced.
-
-    Both paths execute the *same* stage objects in the same order; the
-    traced path additionally times each stage, records a
-    :class:`~repro.obs.trace.StageSpan` with the stage's annotation,
-    and feeds the per-stage latency histograms of the engine's metrics
-    registry.
-    """
-
-    def __init__(self, engine, strategy: DecisionStrategy) -> None:
-        self.engine = engine
-        self.strategy = strategy
-        self.stages: Tuple[Stage, ...] = (
-            ResolveSubjectRoles(engine, strategy),
-            SnapshotEnvironment(engine, strategy),
-            ExpandClosures(engine, strategy),
-            MatchPermissions(engine, strategy),
-            ResolvePrecedence(engine, strategy),
-            ApplyConstraints(engine, strategy),
-            EmitDecision(engine, strategy),
-        )
-        #: Pre-extracted runners: the untraced per-decision loop costs
-        #: seven calls and nothing else.
-        self._runners: Tuple[Callable[[DecisionContext], None], ...] = tuple(
-            stage.run for stage in self.stages
-        )
-
-    def execute(
-        self,
-        request: AccessRequest,
-        session: Optional[Session] = None,
-        active_env: Optional[FrozenSet[str]] = None,
-        env_override: Optional[Set[str]] = None,
-        trace: bool = False,
-    ) -> Decision:
-        """Mediate one request through every stage.
-
-        ``active_env`` short-circuits :class:`SnapshotEnvironment`
-        when the engine already resolved the environment (it needs it
-        for the decision-cache key); otherwise the stage resolves
-        ``env_override`` / the engine's environment source itself.
-        """
-        if not trace:
-            ctx = DecisionContext(request, session, active_env, env_override)
-            for run in self._runners:
-                run(ctx)
-            return ctx.decision
-        return self._execute_traced(
-            DecisionContext(
-                request,
-                session,
-                active_env,
-                env_override,
-                trace=DecisionTrace(
-                    subject=request.subject,
-                    transaction=request.transaction,
-                    obj=request.obj,
-                    mode=self.strategy.name,
-                ),
-            )
-        )
-
-    def _execute_traced(self, ctx: DecisionContext) -> Decision:
-        trace = ctx.trace
-        metrics = self.engine.metrics
-        perf_counter = time.perf_counter
-        total = 0.0
-        for stage in self.stages:
-            started = perf_counter()
-            stage.run(ctx)
-            duration = perf_counter() - started
-            total += duration
-            trace.add_span(stage.name, duration, stage.annotate(ctx))
-            metrics.observe(f"pipeline.{stage.name}", duration)
-        metrics.observe("pipeline.total", total)
-        return ctx.decision

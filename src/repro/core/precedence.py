@@ -89,10 +89,10 @@ def resolve(
     """Resolve ``matches`` into a single signed decision.
 
     :param matches: all permissions that matched the request, in
-        policy insertion order.  Every decision path (compiled,
-        indexed, naive) normalizes to this same :class:`Match` shape,
-        so resolution semantics are identical regardless of how the
-        match set was computed.
+        policy insertion order.  The engine and the reference oracle
+        both normalize to this same :class:`Match` shape, so
+        resolution semantics are identical regardless of how the match
+        set was computed.
     :param strategy: the conflict-resolution strategy to apply.
     :param default_sign: decision when *nothing* matched.  The library
         default is the closed-world :attr:`Sign.DENY`.

@@ -285,7 +285,8 @@ class DecisionTrace:
         self.subject = subject
         self.transaction = transaction
         self.obj = obj
-        #: Which expansion/match strategy served the decision.
+        #: What rendered the decision: ``"compiled"`` (the engine),
+        #: ``"cached"`` (the PDP's decision cache), ``"admin"``.
         self.mode = mode
         #: Wire-protocol correlation id, set by the serving layer when
         #: the request arrived over a protocol that carries one — what

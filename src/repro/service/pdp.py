@@ -709,7 +709,9 @@ class PolicyDecisionPoint:
         engine (single-policy behavior, byte-compatible); a tenant
         with a pinned engine (direct :meth:`swap_policy`) serves that;
         otherwise the attached store resolves the tenant's *active*
-        version through its compiled LRU — and a pointer move observed
+        version through its compiled LRU, as an engine like the
+        default one (same threshold, environment, constraints) — and a
+        pointer move observed
         here bumps the tenant's generation, so a store-side
         ``activate``/``rollback`` invalidates cached decisions without
         any callback plumbing.  ``None`` means the tenant is unknown
@@ -738,7 +740,7 @@ class PolicyDecisionPoint:
                 if engine is not None:
                     return engine, state.generation, state
         try:
-            engine, version = store.engine(tenant)
+            engine, version = store.engine(tenant, self.engine)
         except PolicyStoreError:
             return None  # no active version yet
         state = self._tenant_state(tenant)
@@ -790,7 +792,8 @@ class PolicyDecisionPoint:
             return self.swap_policy(store.policy(DEFAULT_TENANT))
         if name not in store:
             raise PolicyStoreError(f"unknown tenant {name!r}")
-        engine, version = store.engine(name)  # raises if never activated
+        # Raises if never activated.
+        engine, version = store.engine(name, self.engine)
         state = self._tenant_state(name)
         state.engine = None
         state.store_engine = weakref.ref(engine)
@@ -845,10 +848,12 @@ class PolicyDecisionPoint:
     ) -> int:
         """Atomically replace the served policy; returns the generation.
 
-        A fresh :class:`MediationEngine` is built on ``policy`` carrying
-        over the old engine's environment source, confidence threshold,
-        mode, internal cache sizing, and decision constraints, then
-        swapped in with *no await point* between building it and
+        A fresh engine is built on ``policy`` by
+        :meth:`MediationEngine.like` — carrying over the old engine's
+        environment source, confidence threshold, internal cache
+        sizing and decision constraints, pre-compiled so the first
+        post-swap batch does not pay the compile inside its latency
+        budget — then swapped in with *no await point* between building it and
         publishing it: on asyncio's single thread, a micro-batch that
         already captured its engine (see :meth:`_flush`) completes
         against the old snapshot, and every batch formed afterwards sees
@@ -871,20 +876,7 @@ class PolicyDecisionPoint:
             return self._swap_tenant_policy(policy, tenant)
         old = self.engine
         started = time.perf_counter()
-        engine = MediationEngine(
-            policy,
-            environment=old.environment,
-            confidence_threshold=old.confidence_threshold,
-            cache_size=old.cache_size,
-            mode=old.mode,
-            metrics=self.metrics,
-            observers=self.observers,
-        )
-        engine.decision_constraints = list(old.decision_constraints)
-        if engine.mode == "compiled":
-            # Pre-warm the snapshot so the first post-swap batch does
-            # not pay the compile inside its latency budget.
-            policy.compiled()
+        engine = old.like(policy)
         # The swap: two plain attribute writes, no await between them,
         # so no task can observe one without the other.
         self.engine = engine
@@ -936,26 +928,16 @@ class PolicyDecisionPoint:
     def _swap_tenant_policy(self, policy: GrbacPolicy, tenant: str) -> int:
         """Pin a fresh engine for a non-default tenant; its generation.
 
-        Engine settings (threshold, mode, cache sizing) carry over
-        from the tenant's previous pinned engine when it has one, and
-        from the default engine otherwise — a tenant minted by its
-        first swap inherits the deployment's tuning.
+        Engine settings (environment, threshold, cache sizing,
+        constraints) carry over from the tenant's previous pinned
+        engine when it has one, and from the default engine otherwise
+        — a tenant minted by its first swap inherits the deployment's
+        settings.
         """
         state = self._tenant_state(tenant)
         template = state.engine if state.engine is not None else self.engine
         started = time.perf_counter()
-        engine = MediationEngine(
-            policy,
-            environment=template.environment,
-            confidence_threshold=template.confidence_threshold,
-            cache_size=template.cache_size,
-            mode=template.mode,
-            metrics=self.metrics,
-            observers=self.observers,
-        )
-        if engine.mode == "compiled":
-            policy.compiled()
-        state.engine = engine
+        state.engine = engine = template.like(policy)
         state.version = None  # pinned: the store is no longer authority
         state.store_engine = None
         state.generation += 1

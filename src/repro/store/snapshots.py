@@ -49,23 +49,31 @@ class CompiledSnapshotCache:
         return len(self._entries)
 
     def get_or_build(
-        self, content_hash: str, builder: Callable[[], MediationEngine]
+        self,
+        content_hash: str,
+        builder: Callable[[], MediationEngine],
+        usable: Callable[[MediationEngine], bool] = lambda engine: True,
     ) -> MediationEngine:
         """Return the cached engine for ``content_hash``, building on miss.
 
         The builder runs outside the LRU bookkeeping but under the
         cache lock, so concurrent resolvers of the same hash compile
-        once; entries are content-addressed and therefore never stale.
+        once; entries are content-addressed, so the *policy* in one
+        can never be stale.  Its engine settings can differ from the
+        caller's, though (the hash covers the text, not the threshold
+        it is served under): an entry ``usable`` rejects counts as a
+        miss and is replaced.
         """
         with self._lock:
             engine = self._entries.get(content_hash)
-            if engine is not None:
+            if engine is not None and usable(engine):
                 self._entries.move_to_end(content_hash)
                 self.hits += 1
                 return engine
             self.misses += 1
             engine = builder()
             self._entries[content_hash] = engine
+            self._entries.move_to_end(content_hash)  # a replaced entry too
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.evictions += 1

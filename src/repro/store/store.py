@@ -176,8 +176,6 @@ class PolicyStore:
     :param fail_on: minimum lint severity that blocks ``activate`` —
         mirrors :class:`~repro.policy.admin.PolicyAdministrator`.
         ``None`` disables the lint gate (parse failures still block).
-    :param engine_mode: mediation mode compiled snapshots are built
-        in (default ``"compiled"``, pre-warmed at build).
     :param reader: open the store read-only for cross-process sharing.
         A reader holds **no** append handle and takes **no** lock
         against the writing process: it replays the log to the last
@@ -199,7 +197,6 @@ class PolicyStore:
         path: Optional[str] = None,
         compiled_cache_size: int = 8,
         fail_on: Optional[str] = "error",
-        engine_mode: str = "compiled",
         reader: bool = False,
         refresh_interval_s: float = 0.2,
     ) -> None:
@@ -215,7 +212,6 @@ class PolicyStore:
             raise PolicyStoreError("refresh_interval_s must be >= 0")
         self.path = path
         self.fail_on = fail_on
-        self.engine_mode = engine_mode
         self._reader = reader
         self.refresh_interval_s = refresh_interval_s
         self.compiled = CompiledSnapshotCache(compiled_cache_size)
@@ -702,11 +698,22 @@ class PolicyStore:
     # ------------------------------------------------------------------
     # Serving
     # ------------------------------------------------------------------
-    def engine(self, tenant: str) -> Tuple[MediationEngine, int]:
+    def engine(
+        self, tenant: str, template: Optional[MediationEngine] = None
+    ) -> Tuple[MediationEngine, int]:
         """The compiled engine for the tenant's active version.
 
         Lazy: the text is parsed and compiled on first use and cached
         content-addressed (tenants sharing a text share the engine).
+
+        :param template: the deployment's engine; the tenant's engine
+            is built :meth:`~MediationEngine.like` it — same
+            environment source, confidence threshold, constraints —
+            and a cached engine built under other settings is rebuilt
+            rather than served.  A PDP passes its default engine, so a
+            store tenant can never run with the §5.2 gate the operator
+            configured switched off.  ``None`` (tools, tests) takes
+            whatever is cached, or builds with engine defaults.
         :returns: ``(engine, active_version)``.
         :raises PolicyStoreError: unknown tenant / no active version.
         """
@@ -718,12 +725,15 @@ class PolicyStore:
             policy = load_policy_text(
                 text, name=f"{tenant}@v{entry.version}"
             )
-            engine = MediationEngine(policy, mode=self.engine_mode)
-            if engine.mode == "compiled":
-                policy.compiled()  # pre-warm outside the decision path
-            return engine
+            if template is not None:
+                return template.like(policy)
+            policy.compiled()  # pre-warm outside the decision path
+            return MediationEngine(policy)
 
-        return self.compiled.get_or_build(entry.content_hash, build), (
+        def usable(engine: MediationEngine) -> bool:
+            return template is None or engine.settings() == template.settings()
+
+        return self.compiled.get_or_build(entry.content_hash, build, usable), (
             entry.version
         )
 

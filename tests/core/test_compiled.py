@@ -1,6 +1,6 @@
 """Compiled-snapshot mediation: structure, invalidation, batch path.
 
-The equivalence of the compiled path with the indexed/naive paths is
+The equivalence of the engine with the §4.2.4 reference oracle is
 property-tested in ``test_properties.py``; this file pins down the
 snapshot mechanics themselves — interning, bitset closures, revision
 invalidation, the expansion memos, ``decide_batch``, ``check``'s
@@ -83,17 +83,24 @@ class TestCompiledPolicyStructure:
 
 class TestCompiledDecisions:
     def test_compiled_is_default_mode(self, tv_policy):
+        # ... and the only one: traces still say which path rendered a
+        # decision, and for the engine that is always "compiled".
         engine = MediationEngine(tv_policy)
-        assert engine.mode == "compiled"
-        assert engine.use_index is False
-
-    def test_legacy_use_index_still_selects_old_paths(self, tv_policy):
-        assert MediationEngine(tv_policy, use_index=True).mode == "indexed"
-        assert MediationEngine(tv_policy, use_index=False).mode == "naive"
+        assert not hasattr(engine, "mode") and not hasattr(engine, "strategy")
+        request = AccessRequest(transaction="watch", obj="tv", subject="mom")
+        assert engine.decide(request, trace=True).trace.mode == "compiled"
+        assert "mode" not in engine.stats()
 
     def test_unknown_mode_rejected(self, tv_policy):
-        with pytest.raises(PolicyError):
-            MediationEngine(tv_policy, mode="turbo")
+        # Every mode is unknown now: the selectors are gone from the
+        # engine and from the store that builds engines.
+        from repro.store import PolicyStore
+
+        for selector in ({"mode": "turbo"}, {"use_index": True}):
+            with pytest.raises(TypeError):
+                MediationEngine(tv_policy, **selector)
+        with pytest.raises(TypeError):
+            PolicyStore(engine_mode="compiled")
 
     def test_grant_and_deny_precedence(self, tv_policy):
         engine = MediationEngine(tv_policy)
@@ -224,20 +231,15 @@ class TestDecideBatch:
         with pytest.raises(PolicyError):
             engine.decide_batch(self._requests(), environment_roles=[set()])
 
-    def test_batch_equals_singles_on_every_mode(self, tv_policy):
+    def test_batch_equals_singles(self, tv_policy):
         requests = self._requests() * 3
-        for mode in ("compiled", "vectorized", "indexed", "naive"):
-            engine = MediationEngine(tv_policy, mode=mode)
-            singles = [
-                engine.decide(r, environment_roles={"free-time"})
-                for r in requests
-            ]
-            batched = engine.decide_batch(
-                requests, environment_roles={"free-time"}
-            )
-            assert [d.granted for d in batched] == [
-                d.granted for d in singles
-            ]
+        engine = MediationEngine(tv_policy)
+        singles = [
+            engine.decide(r, environment_roles={"free-time"}) for r in requests
+        ]
+        assert engine.decide_batch(
+            requests, environment_roles={"free-time"}
+        ) == singles
 
     def test_batch_reuses_expansion_memos(self, tv_policy):
         engine = MediationEngine(tv_policy)
@@ -259,7 +261,6 @@ class TestEngineStats:
         engine.check("mom", "watch", "tv", environment_roles=env)
         engine.check("mom", "watch", "tv", environment_roles=env)
         stats = engine.stats()
-        assert stats["mode"] == "compiled"
         assert stats["decisions"] == 2
         assert stats["cache_hits"] == 1
         assert stats["cache_misses"] == 1

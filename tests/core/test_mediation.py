@@ -8,6 +8,7 @@ from repro.core import (
     PrecedenceStrategy,
     StaticEnvironment,
 )
+from repro.core.oracle import reference_decide
 from repro.exceptions import PolicyError, UnknownEntityError
 
 
@@ -257,28 +258,35 @@ class TestRequestValidation:
             AccessRequest(transaction="t", obj="o", role_claims={"r": -0.5})
 
 
-class TestIndexedVsNaive:
+class TestEngineVsOracle:
     def test_paths_agree_on_fixture(self, tv_policy, free_time_env):
-        indexed = MediationEngine(tv_policy, free_time_env, use_index=True)
-        naive = MediationEngine(tv_policy, free_time_env, use_index=False)
+        engine = MediationEngine(tv_policy, free_time_env)
         for subject in ("mom", "alice"):
             for obj in ("livingroom/tv", "kitchen/oven"):
                 request = AccessRequest(
                     transaction="watch", obj=obj, subject=subject
                 )
-                assert (
-                    indexed.decide(request).granted
-                    == naive.decide(request).granted
+                assert engine.decide(request) == reference_decide(
+                    tv_policy, request, {"free-time"}
                 )
 
-    def test_index_refreshes_after_rule_changes(self, tv_policy, free_time_env):
+    def test_snapshot_refreshes_after_rule_changes(self, tv_policy, free_time_env):
         engine = MediationEngine(tv_policy, free_time_env)
-        assert engine.check("alice", "watch", "livingroom/tv")
+        request = AccessRequest(
+            transaction="watch", obj="livingroom/tv", subject="alice"
+        )
+
+        def granted() -> bool:
+            decision = engine.decide(request)
+            assert decision == reference_decide(tv_policy, request, {"free-time"})
+            return decision.granted
+
+        assert granted()
         permission = tv_policy.permissions()[0]
         tv_policy.remove_permission(permission)
-        assert not engine.check("alice", "watch", "livingroom/tv")
+        assert not granted()
         tv_policy.add_permission(permission)
-        assert engine.check("alice", "watch", "livingroom/tv")
+        assert granted()
 
 
 class TestDecisionExplain:

@@ -1,9 +1,12 @@
 """Unit tests for the staged decision pipeline."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.core import (
-    MODES,
     STAGE_ORDER,
     AccessRequest,
     MediationEngine,
@@ -11,7 +14,6 @@ from repro.core import (
 )
 from repro.core.pipeline import (
     DecisionContext,
-    build_strategy,
     direct_subject_confidences,
     restricted_assigned_roles,
 )
@@ -24,17 +26,6 @@ class TestPipelineStructure:
         engine = MediationEngine(tv_policy)
         assert tuple(s.name for s in engine.pipeline.stages) == STAGE_ORDER
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_every_mode_is_a_strategy_of_one_pipeline(self, tv_policy, mode):
-        engine = MediationEngine(tv_policy, mode=mode)
-        assert engine.strategy.name == mode
-        assert engine.pipeline.strategy is engine.strategy
-
-    def test_unknown_mode_rejected_by_strategy_factory(self, tv_policy):
-        engine = MediationEngine(tv_policy)
-        with pytest.raises(PolicyError):
-            build_strategy("psychic", engine)
-
     def test_direct_pipeline_execution_resolves_environment(self, tv_policy):
         # Driving the pipeline without a pre-resolved environment must
         # make SnapshotEnvironment consult the engine's source.
@@ -45,6 +36,22 @@ class TestPipelineStructure:
         decision = engine.pipeline.execute(request)
         assert decision.granted
         assert "free-time" in decision.environment_roles
+
+    def test_cli_import_leaves_numpy_out(self):
+        # Every worker, router and CLI process pays for what
+        # ``repro.cli`` imports: ~13 MiB and ~0.1 s when that was numpy.
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        result = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys; import repro.cli; "
+                "sys.exit('numpy' in sys.modules)",
+            ],
+            env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
+            timeout=60,
+        )
+        assert result.returncode == 0
 
 
 class TestTracedDecisions:
@@ -138,15 +145,23 @@ class TestApplyConstraints:
 
 class TestObserverIntegration:
     def test_observer_sees_every_decision(self, tv_policy):
-        engine = MediationEngine(tv_policy)
-        observer = engine.observers.subscribe(CollectingObserver())
         request = AccessRequest(transaction="watch", obj="livingroom/tv", subject="alice")
-        plain = engine.decide(request, environment_roles={"free-time"})
-        traced = engine.decide(
-            request, environment_roles={"free-time"}, trace=True
-        )
-        assert observer.decisions == [plain, traced]
-        assert observer.traces == [None, traced.trace]
+        # With the decision cache on, the second and third batches are
+        # cache hits: they must reach observers like rendered ones.
+        for cache_size in (0, 8):
+            engine = MediationEngine(tv_policy, cache_size=cache_size)
+            observer = engine.observers.subscribe(CollectingObserver())
+            plain = [
+                engine.decide_batch([request], environment_roles={"free-time"})[0]
+                for _ in range(3)
+            ]
+            traced = engine.decide(
+                request, environment_roles={"free-time"}, trace=True
+            )
+            assert engine.cache_hits == (2 if cache_size else 0)
+            assert engine.decisions == 4
+            assert observer.decisions == plain + [traced]
+            assert observer.traces == [None, None, None, traced.trace]
 
 
 class TestSharedRoleHelpers:

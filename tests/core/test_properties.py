@@ -5,8 +5,9 @@ Invariants checked:
 * hierarchy seniority is a partial order (reflexive, transitive,
   antisymmetric) and ``expand`` equals the union of closures;
 * random edge insertions never produce a cycle (cycle attempts raise);
-* the indexed mediation path is decision-equivalent to the naive
-  quantifier transcription on random policies and requests;
+* the mediation engine is decision-equivalent to the literal §4.2.4
+  quantifier (``repro.core.oracle``) on random policies and requests,
+  through every entry point;
 * deny-overrides/allow-overrides resolutions are monotone in match
   sets (adding a deny never turns a deny-overrides grant... etc.).
 """
@@ -22,8 +23,10 @@ from repro.core import (
     MediationEngine,
     PrecedenceStrategy,
     Sign,
+    StaticEnvironment,
 )
 from repro.core.hierarchy import RoleHierarchy
+from repro.core.oracle import reference_decide
 from repro.core.roles import RoleKind, subject_role
 from repro.exceptions import HierarchyCycleError
 from repro.workload.generator import (
@@ -117,7 +120,7 @@ def test_hierarchy_never_becomes_cyclic(edges):
 
 
 # ----------------------------------------------------------------------
-# Mediation equivalence: indexed == naive
+# Mediation equivalence: engine == the §4.2.4 oracle
 # ----------------------------------------------------------------------
 @st.composite
 def policy_configs(draw):
@@ -147,88 +150,90 @@ def policy_configs(draw):
     )
 
 
-@given(policy_configs(), st.integers(0, 10_000))
-@settings(max_examples=40, deadline=None)
-def test_indexed_engine_equals_naive_engine(config, request_seed):
-    policy = generate_policy(config)
-    indexed = MediationEngine(policy, use_index=True)
-    naive = MediationEngine(policy, use_index=False)
-    for generated in generate_requests(policy, 15, seed=request_seed):
-        env = set(generated.active_environment_roles)
-        a = indexed.decide(generated.request, environment_roles=env)
-        b = naive.decide(generated.request, environment_roles=env)
-        assert a.granted == b.granted
-        assert {m.permission.key for m in a.matches} == {
-            m.permission.key for m in b.matches
-        }
+def _requests_with_env(policy, count, seed):
+    return [
+        (generated.request, set(generated.active_environment_roles))
+        for generated in generate_requests(policy, count, seed=seed)
+    ]
 
 
-# ----------------------------------------------------------------------
-# Mediation equivalence: compiled == indexed == naive
-# ----------------------------------------------------------------------
-def _decision_fingerprint(decision):
-    """Everything a decision path computes, order-insensitively."""
-    return (
-        decision.granted,
-        decision.resolution.sign,
-        sorted(
-            (repr(m.permission.key), m.specificity, m.confidence)
-            for m in decision.matches
-        ),
-        dict(decision.subject_role_confidence),
-        decision.object_roles,
-        decision.environment_roles,
+def _assert_engine_equals_oracle(policy, requests_with_env, threshold=0.0):
+    """Every way into the engine must render what the §4.2.4 quantifier
+    renders — full :class:`Decision` equality: granted, the matched
+    permissions in policy order with their specificities and
+    confidences, the resolution's winner and rationale, the role sets.
+
+    Ways in: ``decide``; ``decide_batch`` with a per-request
+    environment sequence, with one shared set, and with ``None`` (the
+    engine's environment source); and the ``cache_size`` LRU, replayed
+    so the second pass is served from it.
+    """
+    requests = [request for request, _ in requests_with_env]
+    envs = [env for _, env in requests_with_env]
+
+    def oracle(env_of):
+        return [
+            reference_decide(
+                policy, request, env_of(i), confidence_threshold=threshold
+            )
+            for i, request in enumerate(requests)
+        ]
+
+    per_request = oracle(lambda i: envs[i])
+    shared = oracle(lambda i: envs[0])
+    engine = MediationEngine(
+        policy, StaticEnvironment(envs[0]), confidence_threshold=threshold
     )
-
-
-def _assert_all_paths_agree(policy, requests_with_env, confidence_threshold=0.0):
-    engines = [
-        MediationEngine(policy, mode=mode, confidence_threshold=confidence_threshold)
-        for mode in ("compiled", "vectorized", "indexed", "naive")
-    ]
-    compiled = engines[0]
-    vectorized = engines[1]
-    decisions_per_engine = [
-        [engine.decide(r, environment_roles=env) for r, env in requests_with_env]
-        for engine in engines
-    ]
-    # Both batch lanes: the compiled scalar loop and the vectorized
-    # struct-of-arrays kernel (decision templates included — the
-    # stream is replayed twice so repeats hit the template memo).
-    batch_requests = [r for r, _ in requests_with_env]
-    batch_envs = [env for _, env in requests_with_env]
-    decisions_per_engine.append(
-        compiled.decide_batch(batch_requests, environment_roles=batch_envs)
+    assert [
+        engine.decide(request, environment_roles=env)
+        for request, env in requests_with_env
+    ] == per_request
+    assert engine.decide_batch(requests, environment_roles=envs) == per_request
+    assert engine.decide_batch(requests, environment_roles=envs[0]) == shared
+    assert engine.decide_batch(requests) == shared
+    cached = MediationEngine(
+        policy, confidence_threshold=threshold, cache_size=64
     )
     for _ in range(2):
-        decisions_per_engine.append(
-            vectorized.decide_batch(batch_requests, environment_roles=batch_envs)
-        )
-    reference = [_decision_fingerprint(d) for d in decisions_per_engine[0]]
-    for decisions in decisions_per_engine[1:]:
-        assert [_decision_fingerprint(d) for d in decisions] == reference
+        assert cached.decide_batch(requests, environment_roles=envs) == per_request
+    assert cached.cache_hits >= len(requests)
 
 
-@given(policy_configs(), st.integers(0, 10_000), st.data())
+@given(policy_configs(), st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
-def test_compiled_equals_indexed_equals_naive_with_claims(
-    config, request_seed, data
+def test_engine_equals_oracle(config, request_seed):
+    policy = generate_policy(config)
+    _assert_engine_equals_oracle(
+        policy, _requests_with_env(policy, 15, request_seed)
+    )
+
+
+@given(
+    policy_configs(),
+    st.integers(0, 10_000),
+    st.sampled_from(list(PrecedenceStrategy)),
+    st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_engine_equals_oracle_with_claims(
+    config, request_seed, precedence, data
 ):
-    """Full 3-way (plus batch) equivalence under partial authentication.
+    """Equivalence under partial authentication and every precedence
+    strategy.
 
     Requests are enriched with random role claims, identity
     confidences, and engine thresholds, so the DENY-at-any-confidence
     rule and the wildcard roles (the generator emits ``any-object`` /
-    ``any-environment`` rules) are exercised across all paths.
+    ``any-environment`` rules) are exercised.
     """
     policy = generate_policy(config)
+    policy.precedence = precedence
     threshold = data.draw(
         st.sampled_from([0.0, 0.3, 0.7, 0.95]), label="threshold"
     )
     role_names = [r.name for r in policy.subject_roles.roles()]
     requests_with_env = []
-    for generated in generate_requests(policy, 8, seed=request_seed):
-        base = generated.request
+    for base, env in _requests_with_env(policy, 8, request_seed):
         claims = data.draw(
             st.dictionaries(
                 st.sampled_from(role_names),
@@ -248,58 +253,43 @@ def test_compiled_equals_indexed_equals_naive_with_claims(
             role_claims=claims,
             identity_confidence=identity,
         )
-        requests_with_env.append(
-            (request, set(generated.active_environment_roles))
-        )
-    _assert_all_paths_agree(policy, requests_with_env, threshold)
+        requests_with_env.append((request, env))
+    _assert_engine_equals_oracle(policy, requests_with_env, threshold)
 
 
 @given(policy_configs(), st.integers(0, 10_000), st.data())
 @settings(max_examples=25, deadline=None)
-def test_compiled_equals_indexed_equals_naive_with_sessions(
-    config, request_seed, data
-):
-    """3-way equivalence when sessions restrict the active role set,
+def test_engine_equals_oracle_with_sessions(config, request_seed, data):
+    """Equivalence when sessions restrict the active role set,
     including mid-session activation changes (the epoch-keyed memo
     must never serve a stale activation state)."""
     policy = generate_policy(config)
-    engines = [
-        MediationEngine(policy, mode=mode)
-        for mode in ("compiled", "vectorized", "indexed", "naive")
-    ]
-    for generated in generate_requests(policy, 5, seed=request_seed):
-        subject = generated.request.subject
-        env = set(generated.active_environment_roles)
-        session = policy.sessions.open(subject)
+    engine = MediationEngine(policy)
+    for request, env in _requests_with_env(policy, 5, request_seed):
+        session = policy.sessions.open(request.subject)
+
+        def check():
+            expected = reference_decide(policy, request, env, session)
+            assert engine.decide(
+                request, session=session, environment_roles=env
+            ) == expected
+            assert engine.decide_batch(
+                [request], session=session, environment_roles=env
+            ) == [expected]
+
         try:
-            for role in sorted(policy.authorized_subject_role_names(subject)):
+            for role in sorted(
+                policy.authorized_subject_role_names(request.subject)
+            ):
                 if data.draw(st.booleans(), label=f"activate {role}"):
                     session.activate(role)
-            fingerprints = [
-                _decision_fingerprint(
-                    engine.decide(
-                        generated.request, session=session, environment_roles=env
-                    )
-                )
-                for engine in engines
-            ]
-            assert fingerprints[1:] == fingerprints[:-1]
-            # Flip the activation state and re-check: the compiled
-            # session memo must follow the epoch.
+            check()
+            # Flip the activation state and re-check: the session memo
+            # must follow the epoch.
             active = sorted(session.active_roles)
             if active:
                 session.deactivate(active[0])
-                fingerprints = [
-                    _decision_fingerprint(
-                        engine.decide(
-                            generated.request,
-                            session=session,
-                            environment_roles=env,
-                        )
-                    )
-                    for engine in engines
-                ]
-                assert fingerprints[1:] == fingerprints[:-1]
+                check()
         finally:
             policy.sessions.close(session)
 
@@ -307,64 +297,58 @@ def test_compiled_equals_indexed_equals_naive_with_sessions(
 @given(policy_configs(), st.integers(0, 10_000))
 @settings(max_examples=25, deadline=None)
 def test_compiled_snapshot_invalidates_on_revision_bumps(config, request_seed):
-    """A held engine must re-compile and agree with a fresh naive
-    engine after every kind of policy mutation."""
+    """A held engine must re-compile and agree with the oracle after
+    every kind of policy mutation, mid-stream."""
     policy = generate_policy(config)
-    compiled = MediationEngine(policy, mode="compiled")
-    stream = generate_requests(policy, 6, seed=request_seed)
+    engine = MediationEngine(policy)
+    stream = _requests_with_env(policy, 6, request_seed)
 
-    def check_against_fresh_naive():
-        naive = MediationEngine(policy, mode="naive")
-        for generated in stream:
-            env = set(generated.active_environment_roles)
-            a = compiled.decide(generated.request, environment_roles=env)
-            b = naive.decide(generated.request, environment_roles=env)
-            assert _decision_fingerprint(a) == _decision_fingerprint(b)
+    def check_against_oracle():
+        for request, env in stream:
+            assert engine.decide(
+                request, environment_roles=env
+            ) == reference_decide(policy, request, env)
 
-    check_against_fresh_naive()
+    check_against_oracle()
     revision_before = policy.decision_revision
     # Permission mutation.
     removed = policy.permissions()[0]
     policy.remove_permission(removed)
-    check_against_fresh_naive()
+    check_against_oracle()
     policy.add_permission(removed)
-    check_against_fresh_naive()
+    check_against_oracle()
     # Assignment mutation.
     subject = policy.subjects()[0].name
     assigned = sorted(policy.authorized_subject_role_names(subject))
     if assigned:
         policy.revoke_subject(subject, assigned[0])
-        check_against_fresh_naive()
+        check_against_oracle()
         policy.assign_subject(subject, assigned[0])
-        check_against_fresh_naive()
+        check_against_oracle()
     # Hierarchy mutation (fresh leaf role, then an edge).
     policy.add_subject_role("prop-fresh-role")
     policy.subject_roles.add_specialization(
         "prop-fresh-role", policy.subject_roles.roles()[0].name
     )
-    check_against_fresh_naive()
+    check_against_oracle()
     assert policy.decision_revision > revision_before
-    assert compiled.stats()["snapshot_revision"] == policy.decision_revision
+    assert engine.stats()["snapshot_revision"] == policy.decision_revision
 
 
 # ----------------------------------------------------------------------
 # Trace / decision coherence
 # ----------------------------------------------------------------------
-@given(
-    policy_configs(),
-    st.integers(0, 10_000),
-    st.sampled_from(["compiled", "vectorized", "indexed", "naive"]),
-)
+@given(policy_configs(), st.integers(0, 10_000))
 @settings(max_examples=30, deadline=None)
-def test_trace_coheres_with_decision(config, request_seed, mode):
-    """A traced decision must agree with the untraced reference path,
-    and its trace must mirror the decision: granted iff a matched
-    permission survived precedence as a grant, stage spans in pipeline
-    order with real timings, and stage outputs (role closures, active
-    environment roles) equal to direct policy queries."""
+def test_trace_coheres_with_decision(config, request_seed):
+    """A traced decision must agree with the untraced one and with the
+    oracle, and its trace must mirror the decision: granted iff a
+    matched permission survived precedence as a grant, stage spans in
+    pipeline order with real timings, and stage outputs (role
+    closures, active environment roles) equal to direct policy
+    queries."""
     policy = generate_policy(config)
-    engine = MediationEngine(policy, mode=mode)
-    reference = MediationEngine(policy, mode="naive")
+    engine = MediationEngine(policy)
     for generated in generate_requests(policy, 6, seed=request_seed):
         env = set(generated.active_environment_roles)
         decision = engine.decide(
@@ -372,11 +356,11 @@ def test_trace_coheres_with_decision(config, request_seed, mode):
         )
         trace = decision.trace
         assert trace is not None
-        assert trace.mode == mode
+        assert trace.mode == "compiled"
 
         # Tracing must not change the decision.
-        untraced = reference.decide(generated.request, environment_roles=env)
-        assert _decision_fingerprint(decision) == _decision_fingerprint(untraced)
+        assert decision == engine.decide(generated.request, environment_roles=env)
+        assert decision == reference_decide(policy, generated.request, env)
 
         # One timed span per pipeline stage, in order.
         assert [span.name for span in trace.spans] == list(STAGE_ORDER)

@@ -203,6 +203,6 @@ class TestProducers:
     def test_shared_registry_across_engines(self, tv_policy):
         registry = MetricsRegistry()
         first = MediationEngine(tv_policy, metrics=registry)
-        second = MediationEngine(tv_policy, mode="naive", metrics=registry)
+        second = MediationEngine(tv_policy, metrics=registry)
         assert first.metrics is registry
         assert second.metrics is registry

@@ -19,8 +19,14 @@ from __future__ import annotations
 import asyncio
 import json
 
-from repro.core import AccessRequest, GrbacPolicy, MediationEngine
+from repro.core import (
+    AccessRequest,
+    GrbacPolicy,
+    MediationEngine,
+    StaticEnvironment,
+)
 from repro.policy.admin import PolicyAdministrator
+from repro.policy.dsl import compile_policy
 from repro.policy.templates import install_figure2_roles
 from repro.service import (
     AdminServer,
@@ -30,6 +36,7 @@ from repro.service import (
     PolicyDecisionPoint,
     RemotePDPClient,
 )
+from repro.store import PolicyStore
 
 REQUEST = AccessRequest("watch", "livingroom/tv", subject="alice")
 ENV = {"free-time"}
@@ -105,19 +112,90 @@ def test_swap_bumps_generation_and_stats() -> None:
 
 def test_swap_preserves_engine_configuration() -> None:
     policy = build_tv_policy(grant=True)
+    environment = StaticEnvironment(ENV)
     engine = MediationEngine(
-        policy, confidence_threshold=0.25, mode="indexed", cache_size=16
+        policy, environment, confidence_threshold=0.25, cache_size=16
     )
     veto = lambda ctx: None  # noqa: E731
     engine.decision_constraints.append(veto)
     pdp = PolicyDecisionPoint(engine, PDPConfig())
     pdp.swap_policy(build_tv_policy(grant=True))
-    swapped = pdp.engine
-    assert swapped is not engine
-    assert swapped.confidence_threshold == 0.25
-    assert swapped.mode == "indexed"
-    assert swapped.cache_size == 16
-    assert swapped.decision_constraints == [veto]
+    pdp.swap_policy(build_tv_policy(grant=True), tenant="pinned")
+    for swapped in (pdp.engine, pdp._resolve_tenant("pinned")[0]):
+        assert swapped is not engine
+        assert swapped.environment is environment
+        assert swapped.confidence_threshold == 0.25
+        assert swapped.cache_size == 16
+        assert swapped.decision_constraints == [veto]
+        assert swapped.decision_constraints is not engine.decision_constraints
+        assert swapped.settings() == engine.settings()
+
+
+TENANT_DSL = """
+subject role child
+object role tv-devices
+environment role free-time
+subject alice is child
+object livingroom/tv is tv-devices
+allow child to watch on tv-devices when free-time
+"""
+
+
+def test_every_tenant_door_serves_under_the_deployment_settings() -> None:
+    """Fail-open regression: the engines a PDP builds for non-default
+    tenants — pinned by ``swap_policy(tenant=)``, or resolved through
+    the store — dropped the deployment's §5.2 threshold and decision
+    constraints, so ``serve --threshold 0.9 --store DIR`` granted at
+    confidence 0.3 for every tenant but the default one."""
+    store = PolicyStore()
+    store.create_tenant("stored")
+    store.put("stored", TENANT_DSL)
+    store.activate("stored")
+    # Resolved once by a tool with no template: the store's LRU now
+    # holds an engine built under threshold 0.0, which a PDP must not
+    # be served.
+    assert store.engine("stored")[0].confidence_threshold == 0.0
+    weak = AccessRequest(
+        "watch", "livingroom/tv", subject="alice", identity_confidence=0.3
+    )
+
+    def deployment(engine):
+        pdp = PolicyDecisionPoint(engine, PDPConfig(), store=store)
+        pdp.swap_policy(compile_policy(TENANT_DSL), tenant="pinned")
+
+        async def ask(request):
+            return [
+                await pdp.submit(request, environment_roles=ENV, tenant=tenant)
+                for tenant in (None, "pinned", "stored")
+            ]
+
+        return pdp, ask
+
+    async def threshold():
+        pdp, ask = deployment(
+            MediationEngine(compile_policy(TENANT_DSL), confidence_threshold=0.9)
+        )
+        async with pdp:
+            assert [r.granted for r in await ask(REQUEST)] == [True] * 3
+            assert [r.granted for r in await ask(weak)] == [False] * 3
+            # A default-tenant swap keeps the settings, so the stored
+            # tenant's compiled engine is still the one to serve.
+            builds = store.compiled.misses
+            pdp.swap_policy(compile_policy(TENANT_DSL))
+            assert [r.granted for r in await ask(weak)] == [False] * 3
+            assert store.compiled.misses == builds
+
+    async def constraint():
+        engine = MediationEngine(compile_policy(TENANT_DSL))
+        engine.decision_constraints.append(lambda ctx: "curfew")
+        pdp, ask = deployment(engine)
+        async with pdp:
+            vetoed = await ask(REQUEST)
+            assert [r.granted for r in vetoed] == [False] * 3
+            assert all("constraint veto: curfew" in r.rationale for r in vetoed)
+
+    run(threshold())
+    run(constraint())
 
 
 # ----------------------------------------------------------------------
