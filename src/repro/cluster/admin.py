@@ -29,45 +29,33 @@ aggregates:
                            every worker gets SIGTERM and drains too
 =========================  ==================================================
 
-Same hardening as the single-PDP sidecar: one request per connection,
-read deadline (408), capped head and body (413).
+The listener is the single-PDP sidecar's
+(:class:`~repro.service.admin.AdminHTTPServer`): one request per
+connection, read deadline (408), capped head and body (413).
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
-from typing import Dict, Optional, Tuple
-from urllib.parse import parse_qs, urlsplit
+from typing import Dict
 
 from repro.cluster.supervisor import ClusterSupervisor
-from repro.exceptions import ServiceError
-from repro.service.admin import PROMETHEUS_CONTENT_TYPE
-
-_MAX_REQUEST_BYTES = 8 * 1024
-_MAX_BODY_BYTES = 1024 * 1024
-
-_STATUS_TEXT = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    408: "Request Timeout",
-    413: "Payload Too Large",
-    422: "Unprocessable Entity",
-    503: "Service Unavailable",
-}
+from repro.service.admin import (
+    PROMETHEUS_CONTENT_TYPE,
+    AdminHTTPServer,
+    Response,
+    int_param,
+    json_body,
+)
 
 
-class _BadRequest(Exception):
-    def __init__(self, status: int, message: str) -> None:
-        super().__init__(message)
-        self.status = status
-        self.message = message
+class ClusterAdminServer(AdminHTTPServer):
+    """Aggregating live-ops HTTP endpoint over a running supervisor.
 
-
-class ClusterAdminServer:
-    """Aggregating live-ops HTTP endpoint over a running supervisor."""
+    The listener, its deadline and its caps are
+    :class:`~repro.service.admin.AdminHTTPServer`'s; only the routes —
+    which aggregate over workers, so routing is async — live here.
+    """
 
     def __init__(
         self,
@@ -76,163 +64,14 @@ class ClusterAdminServer:
         port: int = 0,
         read_timeout_s: float = 5.0,
     ) -> None:
-        if read_timeout_s <= 0:
-            raise ServiceError("read_timeout_s must be > 0")
+        super().__init__(host, port, read_timeout_s)
         self.supervisor = supervisor
-        self.host = host
-        self.read_timeout_s = read_timeout_s
-        self._requested_port = port
-        self._server: Optional[asyncio.AbstractServer] = None
-        self.requests_served = 0
-        self.read_timeouts = 0
         #: Set by ``POST /drain``; the CLI awaits it to exit cleanly.
         self.drain_requested = asyncio.Event()
 
-    @property
-    def port(self) -> int:
-        if self._server is None or not self._server.sockets:
-            raise ServiceError("cluster admin server is not listening")
-        return self._server.sockets[0].getsockname()[1]
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    async def start(self) -> "ClusterAdminServer":
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            host=self.host,
-            port=self._requested_port,
-            limit=_MAX_REQUEST_BYTES,
-        )
-        return self
-
-    async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-
-    async def __aenter__(self) -> "ClusterAdminServer":
-        return await self.start()
-
-    async def __aexit__(self, *exc_info: object) -> None:
-        await self.stop()
-
-    # ------------------------------------------------------------------
-    # HTTP handling (same shape as service.admin.AdminServer, but the
-    # routes aggregate, so routing is async)
-    # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            try:
-                request_line, body = await asyncio.wait_for(
-                    self._read_request(reader), timeout=self.read_timeout_s
-                )
-            except asyncio.TimeoutError:
-                self.read_timeouts += 1
-                writer.write(
-                    self._response(
-                        408, "text/plain", b"request read deadline expired\n"
-                    )
-                )
-                await writer.drain()
-                return
-            except _BadRequest as refused:
-                writer.write(
-                    self._response(
-                        refused.status,
-                        "text/plain",
-                        f"{refused.message}\n".encode("utf-8"),
-                    )
-                )
-                await writer.drain()
-                return
-            status, content_type, response_body = await self._route(
-                request_line, body
-            )
-            self.requests_served += 1
-            writer.write(self._response(status, content_type, response_body))
-            await writer.drain()
-        except (
-            ConnectionResetError,
-            BrokenPipeError,
-            asyncio.LimitOverrunError,
-            ValueError,
-        ):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
-    async def _read_request(
-        self, reader: asyncio.StreamReader
-    ) -> Tuple[bytes, bytes]:
-        request_line = await reader.readline()
-        header_bytes = len(request_line)
-        content_length = 0
-        while True:
-            header = await reader.readline()
-            header_bytes += len(header)
-            if header_bytes > _MAX_REQUEST_BYTES:
-                raise _BadRequest(
-                    413, f"request head exceeds {_MAX_REQUEST_BYTES} bytes"
-                )
-            if header in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = header.partition(b":")
-            if name.strip().lower() == b"content-length":
-                try:
-                    content_length = int(value.strip())
-                except ValueError:
-                    raise _BadRequest(
-                        400, "malformed Content-Length header"
-                    ) from None
-        if content_length < 0:
-            raise _BadRequest(400, "malformed Content-Length header")
-        if content_length > _MAX_BODY_BYTES:
-            raise _BadRequest(
-                413, f"request body exceeds {_MAX_BODY_BYTES} bytes"
-            )
-        body = b""
-        if content_length:
-            try:
-                body = await reader.readexactly(content_length)
-            except asyncio.IncompleteReadError as error:
-                raise _BadRequest(
-                    400, "request body shorter than Content-Length"
-                ) from error
-        return request_line, body
-
-    @staticmethod
-    def _response(status: int, content_type: str, body: bytes) -> bytes:
-        head = (
-            f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            "Connection: close\r\n"
-            "\r\n"
-        )
-        return head.encode("ascii") + body
-
     async def _route(
-        self, request_line: bytes, body: bytes
-    ) -> Tuple[int, str, bytes]:
-        try:
-            method, target, _version = (
-                request_line.decode("latin-1").strip().split(" ", 2)
-            )
-        except ValueError:
-            return 400, "text/plain", b"malformed request line\n"
-        split = urlsplit(target)
-        path = split.path
-        query = {
-            key: values[-1] for key, values in parse_qs(split.query).items()
-        }
+        self, method: str, path: str, query: Dict[str, str], body: bytes
+    ) -> Response:
         supervisor = self.supervisor
         if path == "/reload":
             if method != "POST":
@@ -242,7 +81,7 @@ class ClusterAdminServer:
             if method != "POST":
                 return 405, "text/plain", b"/drain requires POST\n"
             self.drain_requested.set()
-            return 200, "application/json", _json({"draining": True})
+            return 200, "application/json", json_body({"draining": True})
         if method != "GET":
             return 405, "text/plain", b"only GET is supported\n"
         if path == "/metrics":
@@ -254,55 +93,38 @@ class ClusterAdminServer:
             )
         if path == "/metrics.json":
             merged = await supervisor.cluster_metrics()
-            return 200, "application/json", _json({"shards": merged["json"]})
+            return 200, "application/json", json_body({"shards": merged["json"]})
         if path == "/health":
             health = await supervisor.cluster_health()
             return (
                 200 if health["healthy"] else 503,
                 "application/json",
-                _json(health),
+                json_body(health),
             )
         if path == "/status":
-            return 200, "application/json", _json(supervisor.status())
-        if path == "/dump":
-            limit_raw = query.get("limit")
+            return 200, "application/json", json_body(supervisor.status())
+        if path in ("/dump", "/traces"):
             try:
-                limit = None if limit_raw is None else int(limit_raw)
-            except ValueError:
-                return (
-                    400,
-                    "text/plain",
-                    b"query parameter 'limit' must be an integer\n",
-                )
-            entries = await supervisor.cluster_tail(limit=limit)
-            return 200, "application/json", _json({"entries": entries})
-        if path == "/traces":
-            limit_raw = query.get("limit")
-            try:
-                limit = 50 if limit_raw is None else int(limit_raw)
-            except ValueError:
-                return (
-                    400,
-                    "text/plain",
-                    b"query parameter 'limit' must be an integer\n",
-                )
-            return (
-                200,
-                "application/json",
-                _json({"trace_ids": supervisor.cluster_traces(limit)}),
-            )
+                limit = int_param(query, "limit")
+            except ValueError as error:
+                return 400, "text/plain", f"{error}\n".encode("utf-8")
+            if path == "/dump":
+                entries = await supervisor.cluster_tail(limit=limit)
+                return 200, "application/json", json_body({"entries": entries})
+            trace_ids = supervisor.cluster_traces(50 if limit is None else limit)
+            return 200, "application/json", json_body({"trace_ids": trace_ids})
         if path.startswith("/trace/"):
             trace_id = path[len("/trace/"):]
             if not trace_id:
                 return 400, "text/plain", b"missing trace id\n"
             joined = await supervisor.cluster_trace(trace_id)
             status = 200 if joined["spans"] else 404
-            return status, "application/json", _json(joined)
+            return status, "application/json", json_body(joined)
         return 404, "text/plain", b"unknown path\n"
 
     async def _handle_reload(
         self, query: Dict[str, str], body: bytes
-    ) -> Tuple[int, str, bytes]:
+    ) -> Response:
         """``POST /reload``: body is the candidate, two-phase fan-out."""
         try:
             policy_text = body.decode("utf-8")
@@ -320,11 +142,7 @@ class ClusterAdminServer:
             policy_text, actor=actor, dry_run=dry_run
         )
         status = 200 if result["accepted"] else 422
-        return status, "application/json", _json(result)
-
-
-def _json(payload: Dict[str, object]) -> bytes:
-    return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+        return status, "application/json", json_body(result)
 
 
 __all__ = ["ClusterAdminServer"]

@@ -1,38 +1,55 @@
 """The shard router: one front door for a cluster of PDP workers.
 
-An asyncio TCP proxy that terminates both wire formats the PDP speaks
-(NDJSON lines and binary frames, detected per message by the same
-one-byte peek the server uses), extracts each decision request's
-*shard key* — tenant when present, else subject — and forwards the
-message byte-for-byte to the worker the consistent-hash ring owns
-that key on.  Responses stream back over per-worker pumps and are
-written to the client under its connection lock, so the client sees
-exactly the pipelined out-of-order protocol a single server gives it.
+A TCP relay that terminates both wire formats the PDP speaks (NDJSON
+lines and binary frames, detected per message), lifts each decision
+request's *shard key* — tenant when present, else subject — and
+forwards the message byte-for-byte to the worker the consistent-hash
+ring owns that key on.  Answers return the same way, so the client
+sees exactly the pipelined out-of-order protocol of a single server.
 
-Connections upstream are **per client session, per worker**, created
-lazily on first route and kept pipelined: because every upstream
-carries only one client's traffic, the client's own request ids stay
-unique on the wire and the router never rewrites a message.
+**Connection model.**  Both sides of the relay are the
+:class:`~repro.service.transport.WireConnection` protocol under
+``PDPServer`` and ``RemotePDPClient``: a :class:`_Session` per client
+and, **per client session, per worker**, one lazily-created pipelined
+:class:`_Upstream` — which therefore carries one client's traffic
+only, so request ids stay unique on it and no message is rewritten.
+Routing is one synchronous call chain inside the read that delivered
+the message — ``frame_received / line_received -> peek id + shard key
+-> ring.route -> upstream.write(bytes)`` — and an answer is
+``upstream.frame_received / line_received -> session.reply(bytes)``.
+No task lives as long as a connection, nothing locks or ``drain()``s,
+and what is queued for a socket leaves in one ``transport.write`` per
+loop turn.  The router awaits in two places, each a short task:
+connecting a fresh upstream and the supervisor's cluster-wide reload.
+What blocking used to give, the connections hold by construction:
 
-Failure policy — shed, never hang:
+* a fresh upstream is writable at once — its queue (the replayed
+  table pin, then what was routed to it, in order) leaves when the
+  socket connects; a refused connect feeds the breaker and answers
+  everything queued with ``DENY_UNAVAILABLE``;
+* backpressure is paired — a session whose client stops reading stops
+  its upstreams, and an upstream whose worker stops reading (or has
+  not connected yet) stops its session, so what the router buffers per
+  session is bounded by the transports' high-water marks plus one read;
+* a reload holds its own stream — nothing later in that session, not
+  even what the same read delivered, is routed before the reload's
+  reply is queued; other sessions carry on;
+* a half-closed client keeps its socket until nothing is in flight.
 
-* every worker has a :class:`CircuitBreaker`; connect/IO failures
-  open it and requests routed there are answered immediately with
-  ``DENY_UNAVAILABLE`` until the cooldown's half-open probe succeeds;
-* when an upstream dies mid-flight, every request still outstanding
-  on it is answered with ``DENY_UNAVAILABLE`` (matching the lane it
-  arrived on) — a killed worker costs explicit refusals, not client
-  errors or silent drops;
-* ``drain()`` stops accepting, lets in-flight work finish (bounded),
-  then closes — the router half of the cluster's graceful SIGTERM
-  story.
+Failure policy — shed, never hang.  Every worker has a
+:class:`CircuitBreaker`: connect/IO failures open it, and requests
+routed there are answered at once with ``DENY_UNAVAILABLE`` until the
+cooldown's half-open probe succeeds.  When an upstream dies mid-flight
+every request outstanding on it is answered the same way, on the lane
+it arrived on.  ``drain()`` stops accepting, lets in-flight work
+finish (bounded), then closes.
 
-Control ops ride through too: ``ping`` is answered locally,
-``intern`` is forwarded and its table payload captured so new
-upstreams can be pinned to the *same* tables (see
-``PDPServer``'s intern-with-tables form), reload ops are delegated
-to the supervisor's cluster-wide two-phase handler, and everything
-else goes to the first healthy worker.
+Control ops: ``ping`` is answered locally; ``intern`` is forwarded and
+its tables captured, so every other upstream of the session is pinned
+to the *same* tables (tables too large to replay in one wire line are
+refused at the handshake, and no binary frame is forwarded for a
+session without a pin); reload ops go to the supervisor's two-phase
+handler; ``env`` is broadcast; the rest go to the first healthy worker.
 """
 
 from __future__ import annotations
@@ -46,7 +63,6 @@ from repro.exceptions import ServiceError
 from repro.obs.export import TraceSampler
 from repro.obs.trace import Span, SpanCollector, TraceContext, new_span_id
 from repro.service.protocol import (
-    BINARY_MAGIC,
     KIND_REQUEST,
     MAX_LINE_BYTES,
     MAX_OP_LINE_BYTES,
@@ -60,13 +76,13 @@ from repro.service.protocol import (
     peek_binary_id,
     peek_binary_request,
     peek_binary_trace,
-    read_frame_tail,
     splice_binary_trace,
     splice_line_trace,
 )
+from repro.service.transport import WireConnection
 
-#: Reserved wire id for the router's own intern replays to fresh
-#: upstreams; responses carrying it are consumed, never forwarded.
+#: Reserved wire id for the router's own intern replays to upstreams;
+#: responses carrying it are consumed, never forwarded.
 ROUTER_INTERN_ID = "__router_intern__"
 
 #: Ops the router forwards to any healthy worker (cluster-wide
@@ -133,220 +149,265 @@ class CircuitBreaker:
         return "open" if self.open else "half-open"
 
 
-class _Upstream:
-    """One client session's pipelined connection to one worker."""
+class _Upstream(WireConnection):
+    """One client session's pipelined connection to one worker.
 
-    def __init__(
-        self,
-        session: "_Session",
-        name: str,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
+    Created synchronously and writable at once; the socket follows.
+    While it cannot write — still connecting, or the worker stopped
+    reading — it holds its session's reads.
+    """
+
+    #: An op reply (a metrics exposition) outgrows any decision line.
+    max_line_bytes = MAX_OP_LINE_BYTES
+
+    def __init__(self, session: "_Session", name: str) -> None:
+        super().__init__()
         self.session = session
         self.name = name
-        self.reader = reader
-        self.writer = writer
-        #: wire id -> lane tag ("bin" | "json" | "op" | "intern" |
-        #: "router-intern"), insertion-ordered for failure synthesis.
-        self.outstanding: Dict[object, str] = {}
-        #: wire id -> pending router span (sampled requests only);
-        #: completed when the worker's response comes back, so the
-        #: span's duration is the upstream round-trip time.
-        self.traces: Dict[object, Dict[str, object]] = {}
-        self.closed = False
-        self.pump = asyncio.get_running_loop().create_task(self._pump())
+        #: wire id -> (lane tag, pending router span or None), in
+        #: insertion order for failure synthesis.  The tag is "bin" |
+        #: "json" | "op" | "intern" | "router-intern"; the span (sampled
+        #: requests only) completes when the worker's response comes
+        #: back, so its duration is the upstream round-trip time.
+        self.outstanding: Dict[object, Tuple[str, Optional[dict]]] = {}
+        #: Resolves once the socket is gone (see :meth:`close`).
+        self.gone: "asyncio.Future[None]" = asyncio.get_running_loop().create_future()
+        self._stalled = False
+        self.pause_writing()  # until connection_made
 
-    async def _pump(self) -> None:
-        """Forward worker responses to the client, byte-for-byte."""
-        session = self.session
+    async def connect(self, host: str, port: int) -> None:
         try:
-            while True:
-                try:
-                    first = await self.reader.readexactly(1)
-                except asyncio.IncompleteReadError:
-                    break
-                if first[0] == BINARY_MAGIC:
-                    kind, body = await read_frame_tail(self.reader)
-                    wire_id = peek_binary_id(body)
-                    self.outstanding.pop(wire_id, None)
-                    self._finish_trace(wire_id)
-                    await session.send_bytes(frame(kind, body))
-                    continue
-                try:
-                    rest = await self.reader.readuntil(b"\n")
-                except asyncio.IncompleteReadError as eof:
-                    if eof.partial:
-                        await self._forward_line(first + eof.partial + b"\n")
-                    break
-                await self._forward_line(first + rest)
-        except (ConnectionResetError, BrokenPipeError, OSError, ServiceError):
-            pass
-        finally:
-            await self.close(synthesize=True)
-
-    async def _forward_line(self, line: bytes) -> None:
-        """Pass one NDJSON response through; intercept intern replies."""
-        session = self.session
-        wire_id, parsed = _scan_response_id(line)
-        tag = self.outstanding.pop(wire_id, None)
-        self._finish_trace(wire_id)
-        if tag == "router-intern":
-            return  # the router's own table pin; nothing to forward
-        if tag == "intern":
-            # Capture the table payload so future upstreams (worker
-            # restarts, other shards) can be pinned to the same codec.
-            try:
-                payload = parsed if parsed is not None else parse_line(
-                    line, max_bytes=MAX_OP_LINE_BYTES
-                )
-                if "error" not in payload:
-                    session.tables = InternTables.from_payload(payload)
-                    session.intern_payload = {
-                        "op": "intern",
-                        "id": ROUTER_INTERN_ID,
-                        "revision": payload.get("revision", 0),
-                        "tables": payload.get("tables"),
-                    }
-            except ServiceError:
-                pass
-        await session.send_bytes(line)
-
-    async def send(self, data: bytes) -> None:
-        self.writer.write(data)
-        await self.writer.drain()
-
-    def _finish_trace(self, wire_id: object, outcome: str = "ok") -> None:
-        """Complete the router span for ``wire_id`` (upstream RTT)."""
-        pending = self.traces.pop(wire_id, None)
-        if pending is not None:
-            self.session.router._record_span(
-                pending, self.name, outcome=outcome
+            await asyncio.get_running_loop().create_connection(
+                lambda: self, host, port
             )
+        except OSError:
+            self.session.router._note(self.name, ok=False)
+            self.close()
 
-    async def close(self, synthesize: bool) -> None:
-        """Tear down; optionally answer everything still in flight."""
-        if self.closed:
-            return
-        self.closed = True
-        self.session.upstreams.pop(self.name, None)
-        if self.pump is not asyncio.current_task():
-            self.pump.cancel()
-        self.writer.close()
-        pending = list(self.outstanding.items())
-        self.outstanding.clear()
-        for wire_id in list(self.traces):
-            self._finish_trace(wire_id, outcome="unavailable")
-        if synthesize and pending:
-            detail = f"worker {self.name} unavailable"
-            router = self.session.router
-            for wire_id, tag in pending:
-                router.unavailable_synthesized += 1
-                try:
-                    if tag == "bin":
-                        await self.session.send_bytes(
-                            encode_binary_unavailable(wire_id, detail)
-                        )
-                    elif tag == "json":
-                        await self.session.send_bytes(
-                            dumps_line(encode_unavailable(wire_id, detail))
-                        )
-                    elif tag in ("op", "intern"):
-                        await self.session.send_bytes(
-                            dumps_line({"id": wire_id, "error": detail})
-                        )
-                except (ConnectionResetError, BrokenPipeError, OSError):
-                    break
+    def send_pin(self) -> None:
+        """Pin this connection to the client's exact intern tables (a
+        worker restarted after a reload must not decode the client's
+        ids against a different codec)."""
+        self.outstanding[ROUTER_INTERN_ID] = ("router-intern", None)
+        self.write(self.session.pin)  # type: ignore[arg-type]
+
+    # ------------------------------------------------------------------
+    # WireConnection
+    # ------------------------------------------------------------------
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.session.router._note(self.name, ok=True)
+        self.resume_writing()  # sending the queue may well pause it again
+        super().connection_made(transport)
+
+    def pause_writing(self) -> None:
+        if not self._stalled:
+            self._stalled = True
+            self.session.pause_reading()
+
+    def resume_writing(self) -> None:
+        if self._stalled:
+            self._stalled = False
+            self.session.resume_reading()
+
+    def frame_received(self, kind: int, body: bytes) -> None:
+        self._settle(peek_binary_id(body))
+        self.session.reply(frame(kind, body))
+
+    def line_received(self, line: bytes) -> None:
+        """Pass one NDJSON response through; intercept intern replies."""
+        wire_id, parsed = _scan_response_id(line)
+        tag = self._settle(wire_id)
+        if wire_id == ROUTER_INTERN_ID:
+            return  # the router's own table pin; nothing to forward
+        if tag == "intern" and not self.session.capture_tables(
+            self, wire_id, line, parsed
+        ):
+            return  # refused instead: the tables cannot be replayed
+        self.session.reply(line + b"\n")
+
+    def _settle(self, wire_id: object) -> Optional[str]:
+        """``wire_id`` was answered: close its router span and return
+        the lane tag it came in on (``None``: nothing was owed — a
+        pushed revocation, a duplicate)."""
+        lane, pending = self.outstanding.pop(wire_id, (None, None))
+        if pending is not None:
+            self.session.router._record_span(pending, self.name, "ok")
+        return lane
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        super().connection_lost(exc)
+        if exc is not None:
+            self.session.router._note(self.name, ok=False)
+        self.close()
+        if not self.gone.done():
+            self.gone.set_result(None)
+
+    def close(self, synthesize: bool = True) -> "asyncio.Future[None]":
+        """Tear down and — unless the session itself is going away —
+        answer everything still owed on this connection; idempotent.
+        Returns :attr:`gone`, for a caller that must see the socket
+        shut before it moves on."""
+        super().close()
+        session, router = self.session, self.session.router
+        if session.upstreams.get(self.name) is self:
+            del session.upstreams[self.name]
+        self.resume_writing()
+        for wire_id in list(self.outstanding):
+            lane, pending = self.outstanding.pop(wire_id)
+            if synthesize:
+                router._shed(
+                    session, wire_id, lane, self.name, pending, "unavailable"
+                )
+            elif pending is not None:
+                router._record_span(pending, self.name, "unavailable")
+        if self.transport is None and not self.gone.done():
+            self.gone.set_result(None)  # there never was a socket
+        return self.gone
 
 
-class _Session:
+class _Session(WireConnection):
     """One client connection and its lazily-built upstream fan."""
 
-    def __init__(
-        self,
-        router: "ShardRouter",
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
+    def __init__(self, router: "ShardRouter") -> None:
+        super().__init__()
         self.router = router
-        self.reader = reader
-        self.writer = writer
-        self.write_lock = asyncio.Lock()
         self.upstreams: Dict[str, _Upstream] = {}
         #: The client's intern tables (captured off the intern reply)
         #: — used to decode binary routing keys.
         self.tables: Optional[InternTables] = None
-        #: The intern op to replay on fresh upstreams (tables pinned).
-        self.intern_payload: Optional[dict] = None
-
-    async def send_bytes(self, data: bytes) -> None:
-        async with self.write_lock:
-            self.writer.write(data)
-            await self.writer.drain()
+        #: The intern line replayed to every upstream (tables pinned).
+        self.pin: Optional[bytes] = None
+        #: A reload op of this session is being awaited (its reads are
+        #: held until the reply is queued).
+        self.reloading = False
 
     @property
     def in_flight(self) -> int:
-        return sum(len(u.outstanding) for u in self.upstreams.values())
+        """Messages routed for the client and not yet answered."""
+        return self.reloading + sum(
+            len(u.outstanding) for u in self.upstreams.values()
+        )
 
     # ------------------------------------------------------------------
     # Upstream management
     # ------------------------------------------------------------------
-    async def upstream_for(self, name: str) -> Optional[_Upstream]:
-        """The (possibly fresh) upstream to worker ``name``.
-
-        ``None`` means unroutable right now: breaker open, worker
-        removed, or connect refused — the caller sheds.
-        """
+    def upstream_for(self, name: str) -> Optional[_Upstream]:
+        """The (possibly fresh, possibly still connecting) upstream to
+        worker ``name``; ``None`` means unroutable right now — breaker
+        open or worker removed — and the caller sheds."""
         upstream = self.upstreams.get(name)
-        if upstream is not None and not upstream.closed:
-            return upstream
+        if upstream is not None:
+            return upstream  # a closed one has already removed itself
         router = self.router
-        breaker = router.breaker(name)
-        if breaker.open:
+        address = router._workers.get(name)
+        if address is None or router.breaker(name).open:
             return None
-        address = router.worker_address(name)
-        if address is None:
-            return None
-        try:
-            reader, writer = await asyncio.open_connection(
-                address[0], address[1], limit=MAX_OP_LINE_BYTES
-            )
-        except OSError:
-            breaker.record_failure()
-            return None
-        breaker.record_success()
-        upstream = _Upstream(self, name, reader, writer)
-        self.upstreams[name] = upstream
-        if self.intern_payload is not None:
-            # Pin the worker connection to the client's exact tables
-            # (a worker restarted after a reload must not decode the
-            # client's ids against a different codec).
-            line = dumps_line(self.intern_payload)
-            if len(line) <= MAX_LINE_BYTES:
-                upstream.outstanding[ROUTER_INTERN_ID] = "router-intern"
-                try:
-                    await upstream.send(line)
-                except (ConnectionResetError, BrokenPipeError, OSError):
-                    breaker.record_failure()
-                    await upstream.close(synthesize=True)
-                    return None
+        upstream = self.upstreams[name] = _Upstream(self, name)
+        if self.writable is not None:
+            upstream.pause_reading()  # born under a client that isn't reading
+        if self.pin is not None:
+            upstream.send_pin()
+        router._spawn(upstream.connect(*address))
         return upstream
 
-    async def first_healthy_upstream(self) -> Optional[_Upstream]:
-        for name in self.router.ring.members:
-            upstream = await self.upstream_for(name)
-            if upstream is not None:
-                return upstream
-        return None
-
-    async def close(self) -> None:
-        for upstream in list(self.upstreams.values()):
-            await upstream.close(synthesize=False)
-        self.writer.close()
+    def capture_tables(
+        self, source: _Upstream, wire_id: object, line: bytes, parsed: Optional[dict]
+    ) -> bool:
+        """An intern reply is passing through from ``source``: keep its
+        tables for routing and pin every other upstream, present and
+        future, to them.  False when the client was sent a refusal in
+        the reply's place: the pin outgrows the line a worker accepts
+        (an un-pinned worker could not decode this client's frames)."""
         try:
-            await self.writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            pass
+            payload = parsed if parsed is not None else parse_line(
+                line, max_bytes=MAX_OP_LINE_BYTES
+            )
+            if "error" in payload:
+                return True
+            tables = InternTables.from_payload(payload)
+        except ServiceError:
+            return True
+        pin = dumps_line(
+            {
+                "op": "intern",
+                "id": ROUTER_INTERN_ID,
+                "revision": payload.get("revision", 0),
+                "tables": payload.get("tables"),
+            }
+        )
+        if len(pin) > MAX_LINE_BYTES:
+            self.tables = self.pin = None
+            self.refuse(
+                wire_id,
+                f"intern tables take a {len(pin)}-byte line to replay to each "
+                f"worker and the wire line cap is {MAX_LINE_BYTES} bytes: no "
+                "binary lane through the router for this policy (NDJSON works)",
+            )
+            return False
+        self.tables, self.pin = tables, pin
+        for upstream in self.upstreams.values():
+            if upstream is not source:
+                upstream.send_pin()
+        return True
+
+    # ------------------------------------------------------------------
+    # WireConnection
+    # ------------------------------------------------------------------
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        super().connection_made(transport)
+        if self.router._accepting:
+            self.router.connections += 1
+            self.router._sessions.add(self)
+        else:
+            self.close()
+
+    def frame_received(self, kind: int, body: bytes) -> None:
+        self.router._route_frame(self, kind, body)
+
+    def line_received(self, line: bytes) -> None:
+        self.router._route_line(self, line)
+
+    def protocol_error(self, message: str, binary: bool) -> None:
+        self.write(
+            encode_binary_error(None, message)
+            if binary
+            else dumps_line({"error": message})
+        )
+
+    def eof_received(self) -> bool:
+        super().eof_received()
+        return self.in_flight > 0  # half-closed peers still get their answers
+
+    def pause_writing(self) -> None:
+        super().pause_writing()
+        for upstream in self.upstreams.values():
+            upstream.pause_reading()
+
+    def resume_writing(self) -> None:
+        super().resume_writing()
+        for upstream in self.upstreams.values():
+            upstream.resume_reading()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        super().connection_lost(exc)
+        self.router._sessions.discard(self)
+        self.close()
+
+    def close(self) -> None:
+        super().close()
+        for upstream in list(self.upstreams.values()):
+            upstream.close(synthesize=False)
+
+    def reply(self, data: bytes) -> None:
+        """Queue one message for the client.  A half-closed client's
+        socket closes behind the last answer it was owed."""
+        self.write(data)
+        if self._eof and not self.in_flight:
+            self.close()
+
+    def refuse(self, wire_id: object, message: str) -> None:
+        """Answer control op ``wire_id`` with an error line."""
+        self.reply(dumps_line({"id": wire_id, "error": message}))
 
 
 class ShardRouter:
@@ -403,6 +464,8 @@ class ShardRouter:
             for name in self._workers
         }
         self._sessions: "set[_Session]" = set()
+        #: Upstream connects and reload delegations in progress.
+        self._tasks: "set[asyncio.Task[None]]" = set()
         self._accepting = True
         self.connections = 0
         self.routed: Dict[str, int] = {name: 0 for name in self._workers}
@@ -417,25 +480,20 @@ class ShardRouter:
             raise ServiceError(f"unknown worker {name!r}")
         return found
 
-    def worker_address(self, name: str) -> Optional[Tuple[str, int]]:
-        return self._workers.get(name)
-
     def set_worker(self, name: str, host: str, port: int) -> None:
         """Add ``name`` or update its address (restart on a new port).
 
         A fresh address resets the breaker — the supervisor only calls
         this once the worker answered its readiness probe.
         """
-        known = name in self._workers
         self._workers[name] = (host, port)
         self._breakers.setdefault(
             name,
             CircuitBreaker(self._failure_threshold, self._cooldown_s),
         ).record_success()
         self.routed.setdefault(name, 0)
-        if not known or name not in self.ring:
-            if name not in self.ring:
-                self.ring.add(name)
+        if name not in self.ring:
+            self.ring.add(name)
 
     def mark_worker_down(self, name: str) -> None:
         """Shed immediately for ``name`` (supervisor saw it die).
@@ -463,23 +521,15 @@ class ShardRouter:
         return self._server.sockets[0].getsockname()[1]
 
     async def start(self) -> "ShardRouter":
-        self._server = await asyncio.start_server(
-            self._handle_connection,
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Session(self),
             host=self.host,
             port=self._requested_port,
-            limit=MAX_LINE_BYTES,
         )
         return self
 
     async def stop(self) -> None:
-        self._accepting = False
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for session in list(self._sessions):
-            await session.close()
-        self._sessions.clear()
+        await self.drain(timeout_s=0.0)
 
     async def drain(self, timeout_s: float = 5.0) -> int:
         """Stop accepting, wait (bounded) for in-flight work, close.
@@ -494,13 +544,12 @@ class ShardRouter:
             self._server = None
         deadline = time.monotonic() + timeout_s
         while time.monotonic() < deadline:
-            remaining = sum(s.in_flight for s in self._sessions)
-            if remaining == 0:
+            if not any(s.in_flight for s in self._sessions):
                 break
             await asyncio.sleep(0.02)
         remaining = sum(s.in_flight for s in self._sessions)
         for session in list(self._sessions):
-            await session.close()
+            session.close()
         self._sessions.clear()
         return remaining
 
@@ -511,71 +560,23 @@ class ShardRouter:
         await self.stop()
 
     # ------------------------------------------------------------------
-    # Client connections
+    # Routing — synchronous, inside the read that delivered the message
     # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        if not self._accepting:
-            writer.close()
-            return
-        self.connections += 1
-        session = _Session(self, reader, writer)
-        self._sessions.add(session)
-        try:
-            while True:
-                try:
-                    first = await reader.readexactly(1)
-                except asyncio.IncompleteReadError:
-                    break
-                if first[0] == BINARY_MAGIC:
-                    try:
-                        kind, body = await read_frame_tail(reader)
-                    except ServiceError as error:
-                        await session.send_bytes(
-                            encode_binary_error(None, str(error))
-                        )
-                        break
-                    except asyncio.IncompleteReadError:
-                        break
-                    await self._route_frame(session, kind, body)
-                    continue
-                try:
-                    rest = await reader.readuntil(b"\n")
-                except asyncio.IncompleteReadError as eof:
-                    rest = eof.partial
-                except (asyncio.LimitOverrunError, ValueError):
-                    await session.send_bytes(
-                        dumps_line({"error": "wire line too long"})
-                    )
-                    break
-                line = first + rest
-                if line.strip():
-                    await self._route_line(session, line)
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            pass
-        finally:
-            self._sessions.discard(session)
-            await session.close()
-
-    # ------------------------------------------------------------------
-    # Routing
-    # ------------------------------------------------------------------
-    async def _route_frame(
-        self, session: _Session, kind: int, body: bytes
-    ) -> None:
+    def _route_frame(self, session: _Session, kind: int, body: bytes) -> None:
         if kind != KIND_REQUEST:
-            await session.send_bytes(
+            session.reply(
                 encode_binary_error(None, f"unexpected frame kind {kind}")
             )
             return
         try:
+            if session.pin is None:  # so no upstream could decode it
+                raise ServiceError("binary request before intern handshake")
             wire_id, subject, tenant = peek_binary_request(
                 session.tables, body
             )
             incoming = peek_binary_trace(body)
         except ServiceError as error:
-            await session.send_bytes(
+            session.reply(
                 encode_binary_error(peek_binary_id(body), str(error))
             )
             return
@@ -583,7 +584,7 @@ class ShardRouter:
         pending = self._begin_trace(incoming, wire_id, key, "bin")
         if pending is not None:
             body = splice_binary_trace(body, pending["ctx"])
-        await self._forward(
+        self._forward(
             session,
             self.ring.route(key),
             frame(kind, body),
@@ -592,20 +593,22 @@ class ShardRouter:
             pending,
         )
 
-    async def _route_line(self, session: _Session, line: bytes) -> None:
+    def _route_line(self, session: _Session, line: bytes) -> None:
         scanned = _scan_request(line)
         if scanned is None:
             # Slow path: ops, escaped strings, unusual field order.
             try:
                 payload = parse_line(line)
             except ServiceError as error:
-                await session.send_bytes(dumps_line({"error": str(error)}))
+                session.reply(dumps_line({"error": str(error)}))
                 return
             op = payload.get("op")
             if op is not None:
-                await self._handle_op(session, op, payload, line)
+                self._handle_op(session, op, payload, line + b"\n")
                 return
             wire_id = payload.get("id")
+            if not isinstance(wire_id, (int, str)) and wire_id is not None:
+                wire_id = str(wire_id)
             subject = payload.get("subject")
             tenant = payload.get("tenant")
             key = (
@@ -617,17 +620,21 @@ class ShardRouter:
             )
         else:
             wire_id, key = scanned
-        if not isinstance(wire_id, (int, str)) and wire_id is not None:
-            wire_id = str(wire_id)
         incoming = _scan_trace(line)
         pending = self._begin_trace(incoming, wire_id, key, "json")
+        data = None
         if pending is not None:
             try:
-                line = splice_line_trace(line, pending["ctx"])
+                data = splice_line_trace(line, pending["ctx"])
             except ServiceError:
                 pending = None  # not a JSON object; forward verbatim
-        await self._forward(
-            session, self.ring.route(key), line, wire_id, "json", pending
+        self._forward(
+            session,
+            self.ring.route(key),
+            data or line + b"\n",
+            wire_id,
+            "json",
+            pending,
         )
 
     def _begin_trace(
@@ -707,7 +714,7 @@ class ShardRouter:
             ).to_dict()
         )
 
-    async def _forward(
+    def _forward(
         self,
         session: _Session,
         worker: str,
@@ -716,73 +723,76 @@ class ShardRouter:
         lane: str,
         trace_pending: Optional[Dict[str, object]] = None,
     ) -> None:
-        upstream = await session.upstream_for(worker)
+        upstream = session.upstream_for(worker)
         if upstream is None:
-            await self._shed(session, wire_id, lane, worker, trace_pending)
+            self._shed(session, wire_id, lane, worker, trace_pending)
             return
-        upstream.outstanding[wire_id] = lane
-        if trace_pending is not None:
-            upstream.traces[wire_id] = trace_pending
-        try:
-            await upstream.send(data)
-            self.routed[worker] = self.routed.get(worker, 0) + 1
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            self.breaker(worker).record_failure()
-            # close() synthesizes for everything outstanding there —
-            # including the id just recorded.
-            await upstream.close(synthesize=True)
+        upstream.outstanding[wire_id] = (lane, trace_pending)
+        upstream.write(data)
+        self.routed[worker] = self.routed.get(worker, 0) + 1
 
-    async def _shed(
+    def _shed(
         self,
         session: _Session,
         wire_id: object,
         lane: str,
         worker: str,
         trace_pending: Optional[Dict[str, object]] = None,
+        outcome: str = "shed",
     ) -> None:
-        self.unavailable_synthesized += 1
+        """Answer for a worker that cannot: ``DENY_UNAVAILABLE`` on the
+        lane the request came in on, an error line for a control op,
+        nothing for the router's own pin."""
         if trace_pending is not None:
-            self._record_span(trace_pending, worker, outcome="shed")
+            self._record_span(trace_pending, worker, outcome)
         detail = f"worker {worker} unavailable"
         if lane == "bin":
-            await session.send_bytes(
-                encode_binary_unavailable(wire_id, detail)
-            )
+            data = encode_binary_unavailable(wire_id, detail)
+        elif lane == "json":
+            data = dumps_line(encode_unavailable(wire_id, detail))
+        elif lane == "router-intern":
+            return
         else:
-            await session.send_bytes(
-                dumps_line(encode_unavailable(wire_id, detail))
-            )
+            data = dumps_line({"id": wire_id, "error": detail})
+        self.unavailable_synthesized += 1
+        session.reply(data)
+
+    def _spawn(self, coroutine: Awaitable[None]) -> None:
+        """Run one of the router's two awaits as a short task of its
+        own, referenced until done (the loop holds tasks weakly)."""
+        task = asyncio.get_running_loop().create_task(coroutine)
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
+
+    def _note(self, worker: str, ok: bool) -> None:
+        """Feed ``worker``'s breaker one connect/IO outcome."""
+        breaker = self._breakers.get(worker)  # None: since removed
+        if breaker is not None:
+            (breaker.record_success if ok else breaker.record_failure)()
 
     # ------------------------------------------------------------------
     # Control ops
     # ------------------------------------------------------------------
-    async def _handle_op(
+    def _handle_op(
         self, session: _Session, op: object, payload: dict, line: bytes
     ) -> None:
         wire_id = payload.get("id")
         if op == "ping":
-            await session.send_bytes(
-                dumps_line({"op": "pong", "id": wire_id})
-            )
-            return
-        if op in _RELOAD_OPS:
+            session.reply(dumps_line({"op": "pong", "id": wire_id}))
+        elif op in _RELOAD_OPS:
             if self.reload_handler is None:
-                await session.send_bytes(
-                    dumps_line(
-                        {
-                            "id": wire_id,
-                            "error": "cluster reload requires the "
-                            "supervisor (no reload handler installed)",
-                        }
-                    )
+                session.refuse(
+                    wire_id,
+                    "cluster reload requires the supervisor "
+                    "(no reload handler installed)",
                 )
                 return
-            result = await self.reload_handler(payload)
-            await session.send_bytes(
-                dumps_line({"op": op, "id": wire_id, **result})
-            )
-            return
-        if op == "env":
+            # Nothing later in this session's stream is routed before
+            # the reply is queued — not even what this read delivered.
+            session.reloading = True
+            session.pause_reading()
+            self._spawn(self._reload(session, op, wire_id, payload))
+        elif op == "env":
             # Environment events fan out to *every* worker: each worker
             # process holds its own environment replica, and a flip
             # must revoke subscribed grants wherever they were issued —
@@ -790,42 +800,42 @@ class ShardRouter:
             # All workers answer with the same wire id; the client's
             # pending-future table resolves on the first and ignores
             # the rest, exactly like a duplicated op response.
-            delivered = 0
+            delivered = False
             for name in list(self._workers):
-                upstream = await session.upstream_for(name)
-                if upstream is None:
-                    continue
-                upstream.outstanding[wire_id] = "op"
-                try:
-                    await upstream.send(line)
-                    delivered += 1
-                except (ConnectionResetError, BrokenPipeError, OSError):
-                    self.breaker(upstream.name).record_failure()
-                    await upstream.close(synthesize=True)
-            if delivered == 0:
-                await session.send_bytes(
-                    dumps_line({"id": wire_id, "error": "no healthy worker"})
-                )
-            return
-        if op in _FORWARD_OPS:
-            upstream = await session.first_healthy_upstream()
-            if upstream is None:
-                await session.send_bytes(
-                    dumps_line({"id": wire_id, "error": "no healthy worker"})
-                )
-                return
-            upstream.outstanding[wire_id] = (
-                "intern" if op == "intern" else "op"
-            )
-            try:
-                await upstream.send(line)
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                self.breaker(upstream.name).record_failure()
-                await upstream.close(synthesize=True)
-            return
-        await session.send_bytes(
-            dumps_line({"id": wire_id, "error": f"unknown op {op!r}"})
-        )
+                upstream = session.upstream_for(name)
+                if upstream is not None:
+                    upstream.outstanding[wire_id] = ("op", None)
+                    upstream.write(line)
+                    delivered = True
+            if not delivered:
+                session.refuse(wire_id, "no healthy worker")
+        elif op in _FORWARD_OPS:
+            for name in self.ring.members:  # the first healthy worker
+                upstream = session.upstream_for(name)
+                if upstream is not None:
+                    upstream.outstanding[wire_id] = (
+                        "intern" if op == "intern" else "op", None
+                    )
+                    upstream.write(line)
+                    return
+            session.refuse(wire_id, "no healthy worker")
+        else:
+            session.refuse(wire_id, f"unknown op {op!r}")
+
+    async def _reload(
+        self, session: _Session, op: object, wire_id: object, payload: dict
+    ) -> None:
+        """Await the supervisor's cluster reload for one held session,
+        answer it, and let its stream move again."""
+        try:
+            result = await self.reload_handler(payload)  # type: ignore[misc]
+            reply = {"op": op, "id": wire_id, **result}
+        except Exception as error:  # noqa: BLE001 - reported to the caller
+            reply = {"id": wire_id, "error": f"cluster reload failed: {error}"}
+        finally:
+            session.reloading = False
+        session.reply(dumps_line(reply))
+        session.resume_reading()
 
     # ------------------------------------------------------------------
     # Introspection

@@ -43,8 +43,9 @@ most one deadline long, never forever.
 from __future__ import annotations
 
 import asyncio
+import inspect
 import json
-from typing import Dict, Optional, Tuple
+from typing import Awaitable, Dict, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
 
 from repro.exceptions import PolicyStoreError, ServiceError
@@ -80,44 +81,38 @@ class _BadRequest(Exception):
         self.message = message
 
 
-class AdminServer:
-    """Serves a PDP's live-ops surface over HTTP.
+#: What a route answers: status, content type, body.
+Response = Tuple[int, str, bytes]
 
-    :param pdp: the decision point to expose (read-only access).
+
+class AdminHTTPServer:
+    """The HTTP/1.1 listener under every admin endpoint: one request
+    per connection, read under a deadline (408) with capped head and
+    body (413), malformed framing refused (400) — all before routing.
+
+    Subclasses implement :meth:`_route`; it may answer directly or
+    return an awaitable (the cluster endpoint aggregates over workers).
+
     :param host: bind address (default loopback).
     :param port: bind port; 0 picks an ephemeral port — read
         :attr:`port` after :meth:`start`.
-    :param administrator: optional
-        :class:`~repro.policy.admin.PolicyAdministrator`; enables
-        ``POST /reload``.  Without one the route 404s, so a scrape-only
-        sidecar exposes no mutation surface at all.
     :param read_timeout_s: deadline for reading one full request
         (request line, headers, body).  A connection that has not
         produced a complete request by then is answered 408 and closed.
     """
 
     def __init__(
-        self,
-        pdp: PolicyDecisionPoint,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        administrator: Optional[object] = None,
-        read_timeout_s: float = 5.0,
+        self, host: str = "127.0.0.1", port: int = 0, read_timeout_s: float = 5.0
     ) -> None:
         if read_timeout_s <= 0:
             raise ServiceError("read_timeout_s must be > 0")
-        self.pdp = pdp
         self.host = host
-        self.administrator = administrator
         self.read_timeout_s = read_timeout_s
         self._requested_port = port
         self._server: Optional[asyncio.AbstractServer] = None
         self.requests_served = 0
         #: Connections dropped for blowing the read deadline (408).
         self.read_timeouts = 0
-        #: Lazily-created per-tenant administrators for pinned
-        #: (non-store) tenants reloaded via ``POST /reload?tenant=``.
-        self._tenant_admins: Dict[str, object] = {}
 
     @property
     def port(self) -> int:
@@ -125,10 +120,15 @@ class AdminServer:
             raise ServiceError("admin server is not listening")
         return self._server.sockets[0].getsockname()[1]
 
+    def _route(
+        self, method: str, path: str, query: Dict[str, str], body: bytes
+    ) -> Union[Response, Awaitable[Response]]:
+        raise NotImplementedError
+
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    async def start(self) -> "AdminServer":
+    async def start(self) -> "AdminHTTPServer":
         self._server = await asyncio.start_server(
             self._handle_connection,
             host=self.host,
@@ -143,7 +143,7 @@ class AdminServer:
             await self._server.wait_closed()
             self._server = None
 
-    async def __aenter__(self) -> "AdminServer":
+    async def __aenter__(self) -> "AdminHTTPServer":
         return await self.start()
 
     async def __aexit__(self, *exc_info: object) -> None:
@@ -165,28 +165,17 @@ class AdminServer:
                 )
             except asyncio.TimeoutError:
                 self.read_timeouts += 1
-                writer.write(
-                    self._response(
-                        408, "text/plain", b"request read deadline expired\n"
-                    )
-                )
-                await writer.drain()
-                return
+                response = 408, "text/plain", b"request read deadline expired\n"
             except _BadRequest as refused:
-                writer.write(
-                    self._response(
-                        refused.status,
-                        "text/plain",
-                        f"{refused.message}\n".encode("utf-8"),
-                    )
+                response = (
+                    refused.status,
+                    "text/plain",
+                    f"{refused.message}\n".encode("utf-8"),
                 )
-                await writer.drain()
-                return
-            status, content_type, response_body = self._route(
-                request_line, body
-            )
-            self.requests_served += 1
-            writer.write(self._response(status, content_type, response_body))
+            else:
+                response = await self._dispatch(request_line, body)
+                self.requests_served += 1
+            writer.write(self._response(*response))
             await writer.drain()
         except (
             ConnectionResetError,
@@ -247,6 +236,23 @@ class AdminServer:
                 ) from error
         return request_line, body
 
+    async def _dispatch(self, request_line: bytes, body: bytes) -> Response:
+        """Split the request line and hand the request to the routes."""
+        try:
+            method, target, _version = (
+                request_line.decode("latin-1").strip().split(" ", 2)
+            )
+        except ValueError:
+            return 400, "text/plain", b"malformed request line\n"
+        split = urlsplit(target)
+        query = {
+            key: values[-1] for key, values in parse_qs(split.query).items()
+        }
+        response = self._route(method, split.path, query, body)
+        if inspect.isawaitable(response):
+            response = await response
+        return response
+
     @staticmethod
     def _response(status: int, content_type: str, body: bytes) -> bytes:
         head = (
@@ -258,20 +264,38 @@ class AdminServer:
         )
         return head.encode("ascii") + body
 
+
+class AdminServer(AdminHTTPServer):
+    """Serves a PDP's live-ops surface over HTTP.
+
+    :param pdp: the decision point to expose (read-only access).
+    :param administrator: optional
+        :class:`~repro.policy.admin.PolicyAdministrator`; enables
+        ``POST /reload``.  Without one the route 404s, so a scrape-only
+        sidecar exposes no mutation surface at all.
+
+    ``host``, ``port`` and ``read_timeout_s`` are
+    :class:`AdminHTTPServer`'s.
+    """
+
+    def __init__(
+        self,
+        pdp: PolicyDecisionPoint,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        administrator: Optional[object] = None,
+        read_timeout_s: float = 5.0,
+    ) -> None:
+        super().__init__(host, port, read_timeout_s)
+        self.pdp = pdp
+        self.administrator = administrator
+        #: Lazily-created per-tenant administrators for pinned
+        #: (non-store) tenants reloaded via ``POST /reload?tenant=``.
+        self._tenant_admins: Dict[str, object] = {}
+
     def _route(
-        self, request_line: bytes, body: bytes
-    ) -> Tuple[int, str, bytes]:
-        try:
-            method, target, _version = (
-                request_line.decode("latin-1").strip().split(" ", 2)
-            )
-        except ValueError:
-            return 400, "text/plain", b"malformed request line\n"
-        split = urlsplit(target)
-        path = split.path
-        query = {
-            key: values[-1] for key, values in parse_qs(split.query).items()
-        }
+        self, method: str, path: str, query: Dict[str, str], body: bytes
+    ) -> Response:
         if path == "/reload":
             if self.administrator is None:
                 return 404, "text/plain", b"unknown path\n"
@@ -287,47 +311,47 @@ class AdminServer:
                 self.pdp.metrics_prometheus().encode("utf-8"),
             )
         if path == "/metrics.json":
-            return 200, "application/json", _json(self.pdp.metrics_json())
+            return 200, "application/json", json_body(self.pdp.metrics_json())
         if path == "/health":
             health = self.pdp.health()
             return (
                 200 if health["healthy"] else 503,
                 "application/json",
-                _json(health),
+                json_body(health),
             )
         if path == "/ready":
             ready = self.pdp.ready()
             return (
                 200 if ready["ready"] else 503,
                 "application/json",
-                _json(ready),
+                json_body(ready),
             )
         if path == "/dump":
             try:
                 entries = self.pdp.dump(
-                    limit=_int_param(query, "limit"),
-                    since_seq=_int_param(query, "since_seq") or 0,
+                    limit=int_param(query, "limit"),
+                    since_seq=int_param(query, "since_seq") or 0,
                     subject=query.get("subject"),
                     outcome=query.get("outcome"),
                 )
             except ValueError as error:
                 return 400, "text/plain", f"{error}\n".encode("utf-8")
-            return 200, "application/json", _json({"entries": entries})
+            return 200, "application/json", json_body({"entries": entries})
         if path == "/tenants":
             return (
                 200,
                 "application/json",
-                _json({"tenants": self.pdp.tenants_overview()}),
+                json_body({"tenants": self.pdp.tenants_overview()}),
             )
         if path == "/traces":
             try:
-                limit = _int_param(query, "limit")
+                limit = int_param(query, "limit")
             except ValueError as error:
                 return 400, "text/plain", f"{error}\n".encode("utf-8")
             return (
                 200,
                 "application/json",
-                _json({"trace_ids": self.pdp.recent_traces(limit)}),
+                json_body({"trace_ids": self.pdp.recent_traces(limit)}),
             )
         if path.startswith("/trace/"):
             trace_id = path[len("/trace/"):]
@@ -338,18 +362,18 @@ class AdminServer:
                 return (
                     404,
                     "application/json",
-                    _json({"trace_id": trace_id, "spans": []}),
+                    json_body({"trace_id": trace_id, "spans": []}),
                 )
             return (
                 200,
                 "application/json",
-                _json({"trace_id": trace_id, "spans": spans}),
+                json_body({"trace_id": trace_id, "spans": spans}),
             )
         return 404, "text/plain", b"unknown path\n"
 
     def _handle_reload(
         self, query: Dict[str, str], body: bytes
-    ) -> Tuple[int, str, bytes]:
+    ) -> Response:
         """``POST /reload``: the body is the candidate policy text."""
         try:
             policy_text = body.decode("utf-8")
@@ -382,11 +406,11 @@ class AdminServer:
         # A rejected candidate is a *content* problem: 422, with the
         # audited record explaining why, and the old policy serving.
         status = 200 if not result.error else 422
-        return status, "application/json", _json(payload)
+        return status, "application/json", json_body(payload)
 
     def _handle_tenant_reload(
         self, tenant: str, policy_text: str, actor: str, dry_run: bool
-    ) -> Tuple[int, str, bytes]:
+    ) -> Response:
         """``POST /reload?tenant=``: store-gated or per-tenant admin.
 
         Mirrors the wire protocol's tenant-scoped ``reload`` op —
@@ -413,7 +437,7 @@ class AdminServer:
                 return (
                     422,
                     "application/json",
-                    _json(
+                    json_body(
                         {
                             "tenant": tenant,
                             "accepted": False,
@@ -424,7 +448,7 @@ class AdminServer:
             return (
                 200,
                 "application/json",
-                _json(
+                json_body(
                     {
                         "tenant": tenant,
                         "accepted": True,
@@ -465,16 +489,16 @@ class AdminServer:
             "error": result.error,
             "record": result.record.to_dict(),
         }
-        return (200 if not result.error else 422), "application/json", _json(
+        return (200 if not result.error else 422), "application/json", json_body(
             payload
         )
 
 
-def _json(payload: Dict[str, object]) -> bytes:
+def json_body(payload: Dict[str, object]) -> bytes:
     return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
 
 
-def _int_param(query: Dict[str, str], name: str) -> Optional[int]:
+def int_param(query: Dict[str, str], name: str) -> Optional[int]:
     raw = query.get(name)
     if raw is None:
         return None

@@ -469,8 +469,6 @@ KIND_REVOKE = 4
 
 #: Full frame header: magic, kind, body length.
 FRAME_HEADER = struct.Struct("!BBI")
-#: Header remainder after the peeked magic byte (kind, body length).
-FRAME_TAIL = struct.Struct("!BI")
 
 #: Body-size cap, mirroring the NDJSON line cap.
 MAX_FRAME_BYTES = MAX_LINE_BYTES
@@ -953,24 +951,6 @@ def decode_binary_revocation(
         reason=reason,
         ts=ts,
     )
-
-
-async def read_frame_tail(reader) -> Tuple[int, bytes]:
-    """Read ``(kind, body)`` after the magic byte has been consumed.
-
-    :raises ServiceError: on an oversized frame (the caller should
-        drop the connection — the stream position is unrecoverable).
-    :raises asyncio.IncompleteReadError: when the peer closes mid-
-        frame (truncation).
-    """
-    header = await reader.readexactly(FRAME_TAIL.size)
-    kind, length = FRAME_TAIL.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise ServiceError(
-            f"binary frame of {length} bytes exceeds {MAX_FRAME_BYTES}"
-        )
-    body = await reader.readexactly(length)
-    return kind, body
 
 
 # ======================================================================

@@ -1,8 +1,9 @@
 """The one connection path of the wire: parse per read, write per turn.
 
-:class:`WireConnection` is the ``asyncio.Protocol`` both ends of the
-PDP wire are built on (:class:`~repro.service.server.PDPServer`'s
-per-connection state and :class:`~repro.service.client.RemotePDPClient`).
+:class:`WireConnection` is the ``asyncio.Protocol`` every endpoint of
+the PDP wire is built on: :class:`~repro.service.server.PDPServer`'s
+per-connection state, :class:`~repro.service.client.RemotePDPClient`,
+and both sides of :class:`~repro.cluster.router.ShardRouter`'s relay.
 It owns the three things every endpoint used to pay a coroutine, a lock
 and a ``drain()`` for:
 
@@ -22,7 +23,13 @@ and a ``drain()`` for:
   backs up into its own socket) and :meth:`writable` gives senders
   something to await; both resume at the low-water mark.  Buffered
   output is therefore bounded by the high-water mark plus the answers
-  to one read.
+  to one read.  :meth:`pause_reading` / :meth:`resume_reading` nest and
+  stop *delivery*, not just the socket, so a relay (the shard router)
+  can stop one side for exactly as long as the other cannot write, or
+  while it awaits something the stream must not overtake.
+
+A connection may be written before it exists: until ``connection_made``
+:meth:`write` only queues, and the queue leaves in the first write.
 
 Size limits are enforced from the header/prefix alone — an oversized
 frame or line is reported through :meth:`protocol_error` before its
@@ -56,7 +63,12 @@ class WireConnection(asyncio.Protocol):
         self._inbox = bytearray()
         self._outbox: List[bytes] = []
         self._in_pass = False
-        self._flush_scheduled = False
+        #: A flush is already due — true until ``connection_made``,
+        #: which sends what was queued for a socket not yet there.
+        self._flush_scheduled = True
+        #: Outstanding :meth:`pause_reading` calls, plus one for good
+        #: once closed: while non-zero no message is delivered.
+        self._read_holds = 0
         self._eof = False
         self._closed = False
         #: Pending while the transport has paused writing.
@@ -81,6 +93,13 @@ class WireConnection(asyncio.Protocol):
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
         self.transport = transport  # type: ignore[assignment]
         self._loop = asyncio.get_running_loop()
+        if self._closed:  # closed while it was still connecting
+            transport.close()  # type: ignore[attr-defined]
+            return
+        if self._read_holds:
+            transport.pause_reading()  # type: ignore[attr-defined]
+        self._flush_scheduled = False
+        self.flush()
 
     def data_received(self, data: bytes) -> None:
         inbox = self._inbox
@@ -100,7 +119,7 @@ class WireConnection(asyncio.Protocol):
         position, size = 0, len(buffer)
         self._in_pass = True
         try:
-            while position < size and not self._closed:
+            while position < size and not self._read_holds:
                 if buffer[position] == BINARY_MAGIC:
                     if size - position < _HEADER_BYTES:
                         break
@@ -156,7 +175,8 @@ class WireConnection(asyncio.Protocol):
     # ------------------------------------------------------------------
     def write(self, data: bytes) -> None:
         """Queue one whole message; it leaves with the current parse
-        pass, or on the next loop iteration outside one.  After the
+        pass, on the next loop iteration outside one, or — queued
+        before the connection was made — the moment it is.  After the
         connection has closed there is nobody to tell: a no-op."""
         if self._closed:
             return
@@ -184,16 +204,36 @@ class WireConnection(asyncio.Protocol):
     def pause_writing(self) -> None:
         if self._resumed is None:
             self._resumed = self._loop.create_future()  # type: ignore[union-attr]
-            if not self._eof and not self._closed:
-                self.transport.pause_reading()  # type: ignore[union-attr]
+            self.pause_reading()
 
     def resume_writing(self) -> None:
         resumed, self._resumed = self._resumed, None
         if resumed is not None:
             if not resumed.done():
                 resumed.set_result(None)
-            if not self._eof and not self._closed:
-                self.transport.resume_reading()  # type: ignore[union-attr]
+            self.resume_reading()
+
+    def pause_reading(self) -> None:
+        """Deliver no further message — not even one the current read
+        already brought — and stop reading the socket until the
+        matching :meth:`resume_reading`.  Calls nest, and may precede
+        ``connection_made``."""
+        self._read_holds += 1
+        if self._read_holds == 1:
+            self._set_reading(False)
+
+    def resume_reading(self) -> None:
+        self._read_holds -= 1
+        if not self._read_holds:
+            self._set_reading(True)
+            inbox = self._inbox
+            if inbox and not self._in_pass:  # what waited while held
+                del inbox[: self._parse(inbox)]
+
+    def _set_reading(self, reading: bool) -> None:
+        transport = self.transport
+        if transport is not None and not self._eof and not self._closed:
+            (transport.resume_reading if reading else transport.pause_reading)()
 
     @property
     def writable(self) -> Optional["asyncio.Future[None]"]:
@@ -204,13 +244,17 @@ class WireConnection(asyncio.Protocol):
     def close(self) -> None:
         """Flush what is queued, then close the transport; idempotent."""
         if not self._closed:
-            self.flush()
             self._closed = True
-            if self.transport is not None:
+            self._read_holds += 1
+            if self.transport is None:
+                self._outbox.clear()  # never connected: nobody to tell
+            else:
+                self.flush()
                 self.transport.close()
 
     def connection_lost(self, exc: Optional[Exception]) -> None:
         self._closed = True
+        self._inbox.clear()
         self._outbox.clear()
         resumed, self._resumed = self._resumed, None
         if resumed is not None and not resumed.done():
