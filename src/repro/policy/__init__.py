@@ -7,7 +7,6 @@ from repro.policy.admin import (
     ReloadAudit,
     ReloadRecord,
     ReloadResult,
-    load_policy_file,
     load_policy_text,
 )
 from repro.policy.analysis import Conflict, Finding, PolicyAnalyzer
@@ -59,7 +58,6 @@ __all__ = [
     "agreement",
     "build_pair",
     "compile_policy",
-    "load_policy_file",
     "load_policy_text",
     "install_figure2_household",
     "install_figure2_roles",

@@ -1,39 +1,51 @@
-"""Live policy administration: validated atomic hot-reload.
+"""Live policy administration: one gate, one reload path, one audit ring.
 
 ARBAC treats policy *change* as a first-class, analyzable operation;
-this module is that operation for the running service.  A candidate
-policy — DSL text or the serialized JSON form — goes through a fixed
-pipeline before it can touch traffic:
+this module is that operation for the running service.  Every door
+that can change what a deployment serves — the wire ``reload`` op,
+``POST /reload``, the file watcher, the cluster's two-phase
+``prepare``/``activate``, a store ``activate`` — goes through:
 
-1. **parse/compile** (:func:`load_policy_text`),
-2. **lint** with the existing :class:`~repro.policy.analysis.PolicyAnalyzer`
-   (severities at or above ``fail_on`` reject the candidate),
-3. **diff** against the live policy
-   (:func:`~repro.policy.diff.diff_policies`) for the human-readable
-   change summary,
-4. **swap** via :meth:`PolicyDecisionPoint.swap_policy
-   <repro.service.pdp.PolicyDecisionPoint.swap_policy>` — atomic on
-   the event loop, generation-keyed so stale cache entries stop
-   matching by construction.
+**The gate**, :func:`vet_candidate`.  A candidate (DSL text or the
+serialized JSON form) is **parsed** (:func:`load_policy_text`) and
+**linted** with :class:`~repro.policy.analysis.PolicyAnalyzer` — that
+half, :func:`lint_candidate`, is a pure function of the text, so
+:class:`~repro.store.store.PolicyStore` memoizes it by content hash —
+then **diffed** against the live policy for the change summary,
+**filtered** (findings at or above the caller's ``fail_on`` severity
+reject it) and, for a two-phase prepare, **pre-compiled**.  Nothing
+else decides whether a text may serve.
 
-Every attempt — accepted, rejected, or dry-run — lands in a bounded
-:class:`ReloadAudit` as a :class:`ReloadRecord` naming who asked, when,
-what changed, and why it was refused if it was.  A rejected or failed
-reload leaves the old policy serving, untouched.
+**The tenant cases**, owned once by :meth:`PolicyAdministrator.reload`:
+
+* *store-backed tenant, with text* — ``put`` + ``activate`` (the gate,
+  under the store's own ``fail_on``) + refresh the PDP's resolution;
+* *store-backed tenant, no text* — refresh only, for activations done
+  out of band (CLI, another process);
+* *default or pinned tenant, with text* — the gate, then
+  :meth:`PolicyDecisionPoint.swap_policy
+  <repro.service.pdp.PolicyDecisionPoint.swap_policy>`: atomic on the
+  event loop, generation-keyed so stale cache entries stop matching;
+* *unknown tenant, or no text and no store to refresh from* — refused.
+
+**The ring**: every attempt through any door — accepted, rejected,
+refused, dry-run, prepared, aborted — lands in the deployment's one
+bounded :class:`ReloadAudit` as a :class:`ReloadRecord` naming who
+asked, when, for which tenant, what changed, and why it was refused if
+it was.  A rejected or failed reload leaves the old policy serving.
 
 :class:`PolicyFileWatcher` closes the loop for ``serve --policy-file
---watch``: mtime polling that funnels file edits through the same
-validated path.
+--watch``: mtime polling that funnels file edits through the same path.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.policy import GrbacPolicy
-from repro.exceptions import GrbacError, ServiceError
+from repro.exceptions import GrbacError, PolicyStoreError, ServiceError
 from repro.obs.metrics import MetricsRegistry
 from repro.policy.analysis import Finding, PolicyAnalyzer
 from repro.policy.diff import diff_policies
@@ -42,6 +54,10 @@ from repro.policy.serialize import from_json
 
 #: Lint severities, most severe first (index = rank).
 _SEVERITY_RANK = {"error": 0, "warning": 1, "info": 2}
+
+#: The tenant single-policy deployments implicitly serve: what "no
+#: tenant" means to reload records, the store and the PDP alike.
+DEFAULT_TENANT = "default"
 
 
 def load_policy_text(text: str, name: str = "candidate") -> GrbacPolicy:
@@ -59,11 +75,89 @@ def load_policy_text(text: str, name: str = "candidate") -> GrbacPolicy:
     return compile_policy(text, name=name)
 
 
-def load_policy_file(path: str) -> GrbacPolicy:
-    """Load a candidate policy from ``path`` (DSL or JSON by content)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    return load_policy_text(text, name=path)
+#: ``(candidate, findings, parse_error)`` — what :func:`lint_candidate`
+#: returns.  A memoizing caller may drop the parsed candidate (pass
+#: ``None`` back): the gate re-parses only when it needs a diff.
+Linted = Tuple[Optional[GrbacPolicy], List[Finding], str]
+
+
+def lint_candidate(source: str, name: str = "candidate") -> Linted:
+    """The text-pure half of the gate: parse, then lint.
+
+    Never raises on a bad candidate — a malformed text comes back as
+    ``(None, [], "parse error: ...")``.
+    """
+    try:
+        candidate = load_policy_text(source, name=name)
+    except (GrbacError, ValueError, KeyError, TypeError) as error:
+        # GrbacError covers DSL/compile faults; the rest are what
+        # json.loads / from_dict raise on malformed documents.
+        return None, [], f"parse error: {error}"
+    return candidate, PolicyAnalyzer(candidate).lint(), ""
+
+
+@dataclass(frozen=True)
+class Vetted:
+    """The gate's verdict on one candidate text."""
+
+    #: The parsed candidate; None when it failed to parse (or when a
+    #: memoized lint was supplied and no diff needed the parse).
+    candidate: Optional[GrbacPolicy] = None
+    #: ``Finding.describe()`` strings from the lint pass.
+    findings: Tuple[str, ...] = ()
+    #: Change summary against the live policy ("" when there is none).
+    diff_summary: str = ""
+    #: Why the candidate may not serve; empty when it may.
+    error: str = ""
+
+
+def vet_candidate(
+    source: str,
+    name: str = "candidate",
+    fail_on: Optional[str] = "error",
+    live: Optional[GrbacPolicy] = None,
+    linted: Optional[Linted] = None,
+    precompile: bool = False,
+) -> Vetted:
+    """The one vetting gate between policy text and serving traffic.
+
+    :param fail_on: minimum lint severity that rejects the candidate;
+        ``None`` disables the lint gate (parse failures still reject).
+    :param live: the policy currently serving, diffed against.
+    :param linted: a memoized :func:`lint_candidate` result for this
+        exact text (the store keys it by content hash).
+    :param precompile: also build the candidate's compiled snapshot
+        (memoized on the policy object), so installing it later pays
+        no compile.
+    """
+    candidate, findings, error = (
+        linted if linted is not None else lint_candidate(source, name)
+    )
+    if error:
+        return Vetted(error=error)
+    described = tuple(f.describe() for f in findings)
+    if candidate is None and (live is not None or precompile):
+        candidate = load_policy_text(source, name=name)
+    diff_summary = ""
+    if live is not None:
+        diff_summary = diff_policies(live, candidate).describe()
+    if fail_on is not None:
+        gate = _SEVERITY_RANK[fail_on]
+        blocking = [
+            f
+            for f in findings
+            if _SEVERITY_RANK.get(f.severity, gate) <= gate
+        ]
+        if blocking:
+            error = "validation failed: " + "; ".join(
+                f.describe() for f in blocking
+            )
+    if precompile and not error:
+        try:
+            candidate.compiled()
+        except GrbacError as fault:
+            error = f"compile failed: {fault}"
+    return Vetted(candidate, described, diff_summary, error)
 
 
 @dataclass(frozen=True)
@@ -82,13 +176,16 @@ class ReloadRecord:
     #: Caller-supplied identity ("cli", "admin-http", "file-watch", a
     #: username); empty when the caller named nobody.
     actor: str
-    #: ``"reload"`` or ``"validate"`` (dry-run).
+    #: ``"reload"``, ``"validate"`` (dry-run), or the two-phase
+    #: ``"prepare"`` / ``"activate"`` / ``"abort"``.
     action: str
     #: The candidate was swapped in (always False for dry-runs).
     accepted: bool
     dry_run: bool
     policy_name: str
-    old_revision: int
+    #: The serving policy's decision revision; None for an unknown or
+    #: store-backed tenant.
+    old_revision: Optional[int]
     #: The candidate's decision revision; None when it failed to parse.
     new_revision: Optional[int]
     #: PDP generation after an accepted swap; None otherwise.
@@ -100,9 +197,11 @@ class ReloadRecord:
     #: Why the attempt was rejected; empty when it was not.
     error: str
     duration_s: float
+    #: The tenant the attempt targeted; None is the default tenant.
+    tenant: Optional[str] = None
 
     def to_dict(self) -> Dict[str, object]:
-        return {
+        payload: Dict[str, object] = {
             "sequence": self.sequence,
             "timestamp": self.timestamp,
             "actor": self.actor,
@@ -118,6 +217,11 @@ class ReloadRecord:
             "error": self.error,
             "duration_s": round(self.duration_s, 6),
         }
+        if self.tenant is not None:
+            # Only a non-default tenant is named, exactly as
+            # encode_response treats PDPResponse.tenant.
+            payload["tenant"] = self.tenant
+        return payload
 
     def describe(self) -> str:
         verdict = (
@@ -185,6 +289,16 @@ class ReloadResult:
     accepted: bool
     dry_run: bool
     record: ReloadRecord
+    #: The tenant resolves through the policy store: the attempt was
+    #: ``put`` + ``activate`` + refresh (or refresh only).
+    store_backed: bool = False
+    #: The store version serving after an accepted store-backed reload.
+    version: Optional[int] = None
+    #: Set when the *request*, not the candidate, was refused — doors
+    #: map it onto their bad-request replies: ``"unknown-tenant"``,
+    #: ``"no-candidate"`` (no text, and no store to refresh from) or
+    #: ``"dry-run"`` (store-backed tenants have none; activate gates).
+    refusal: str = ""
 
     @property
     def error(self) -> str:
@@ -193,9 +307,6 @@ class ReloadResult:
     @property
     def generation(self) -> Optional[int]:
         return self.record.generation
-
-    def to_dict(self) -> Dict[str, object]:
-        return self.record.to_dict()
 
 
 @dataclass(frozen=True)
@@ -215,27 +326,14 @@ class PrepareResult:
     def error(self) -> str:
         return self.record.error
 
-    def to_dict(self) -> Dict[str, object]:
-        payload = self.record.to_dict()
-        payload["token"] = self.token
-        return payload
-
-
-@dataclass(frozen=True)
-class _PreparedCandidate:
-    """A validated candidate held warm between prepare and activate."""
-
-    token: str
-    candidate: GrbacPolicy
-    findings: Tuple[str, ...]
-    diff_summary: str
-
 
 class PolicyAdministrator:
     """The validated path between candidate policy text and the PDP.
 
     :param target: the serving :class:`PolicyDecisionPoint` (anything
-        exposing ``policy`` and ``swap_policy(policy) -> int``).
+        exposing ``policy``, ``tenant_policy(tenant=None)`` and
+        ``swap_policy(policy, tenant=None) -> int``; tenant-scoped
+        reloads also use its ``store`` and ``refresh_tenant``).
     :param fail_on: minimum lint severity that rejects a candidate —
         ``"error"`` (default) lets warnings through with an audit
         trail; ``"warning"`` makes the gate strict.  ``None`` disables
@@ -266,127 +364,149 @@ class PolicyAdministrator:
         self._m_dry_runs = metrics.counter("admin.reloads_dry_run")
         #: Outstanding two-phase candidates by token (insertion order;
         #: oldest evicted past :attr:`max_prepared`).
-        self._prepared: Dict[str, _PreparedCandidate] = {}
+        self._prepared: Dict[str, Vetted] = {}
         self._prepare_sequence = 0
         self.max_prepared = 8
 
     # ------------------------------------------------------------------
-    # The administration pipeline
+    # The one audit record
+    # ------------------------------------------------------------------
+    def _audit(
+        self,
+        started: float,
+        actor: str,
+        action: str,
+        live: Optional[GrbacPolicy],
+        vetted: Vetted,
+        name: str = "",
+        tenant: Optional[str] = None,
+        dry_run: bool = False,
+        generation: Optional[int] = None,
+    ) -> ReloadRecord:
+        """Count and record one attempt; ``generation`` set = applied."""
+        candidate = vetted.candidate
+        accepted = generation is not None
+        if vetted.error:
+            self._m_rejected.inc()
+        elif accepted:
+            self._m_accepted.inc()
+        elif dry_run:
+            self._m_dry_runs.inc()
+        return self.audit.append(
+            actor=actor,
+            action=action,
+            accepted=accepted,
+            dry_run=dry_run,
+            policy_name=candidate.name if candidate is not None else name,
+            old_revision=live.decision_revision if live is not None else None,
+            new_revision=(
+                candidate.decision_revision if candidate is not None else None
+            ),
+            generation=generation,
+            findings=vetted.findings,
+            diff_summary=vetted.diff_summary,
+            error=vetted.error,
+            duration_s=time.perf_counter() - started,
+            tenant=tenant,
+        )
+
+    # ------------------------------------------------------------------
+    # The reload path — every door, every tenant
     # ------------------------------------------------------------------
     def reload(
         self,
-        source: str,
+        source: Optional[str],
         actor: str = "",
         dry_run: bool = False,
         name: str = "candidate",
+        tenant: Optional[str] = None,
     ) -> ReloadResult:
-        """Parse, lint, diff, and (unless ``dry_run``) swap ``source``.
+        """Vet ``source`` and (unless ``dry_run``) make ``tenant`` serve it.
 
-        Never raises on a bad candidate: every failure mode — parse
-        error, lint gate, swap fault — resolves to an audited,
-        rejected :class:`ReloadResult` with the old policy still
-        serving.  Programming errors (a target without
-        ``swap_policy``) still raise.
+        The tenant cases are decided here, once (see the module
+        docstring); ``tenant=None`` or the default tenant's name is the
+        deployment's own policy.  Never raises on a bad candidate or a
+        bad tenant: parse error, lint gate, store refusal, swap fault,
+        unknown tenant, missing text — each resolves to an audited,
+        unaccepted :class:`ReloadResult` with the old policy still
+        serving.
         """
         started = time.perf_counter()
-        live = self.target.policy
-        action = "validate" if dry_run else "reload"
+        target = self.target
+        if tenant == DEFAULT_TENANT:
+            tenant = None
+        has_text = isinstance(source, str) and bool(source.strip())
+        store = getattr(target, "store", None) if tenant is not None else None
+        store_backed = store is not None and tenant in store
+        live = None  # a store-backed tenant's history is the store's log
+        if not store_backed:
+            try:
+                live = target.tenant_policy(tenant)
+            except ServiceError:
+                pass  # unknown tenant: refused below
 
-        def rejected(
-            error: str,
-            candidate: Optional[GrbacPolicy] = None,
-            findings: Tuple[str, ...] = (),
-            diff_summary: str = "",
+        def result(
+            vetted: Vetted,
+            generation: Optional[int] = None,
+            version: Optional[int] = None,
+            refusal: str = "",
         ) -> ReloadResult:
-            self._m_rejected.inc()
-            record = self.audit.append(
-                actor=actor,
-                action=action,
-                accepted=False,
+            record = self._audit(
+                started,
+                actor,
+                "validate" if dry_run else "reload",
+                live,
+                vetted,
+                name=name,
+                tenant=tenant,
                 dry_run=dry_run,
-                policy_name=(
-                    candidate.name if candidate is not None else name
-                ),
-                old_revision=live.decision_revision,
-                new_revision=(
-                    candidate.decision_revision
-                    if candidate is not None
-                    else None
-                ),
-                generation=None,
-                findings=findings,
-                diff_summary=diff_summary,
-                error=error,
-                duration_s=time.perf_counter() - started,
+                generation=generation,
             )
-            return ReloadResult(accepted=False, dry_run=dry_run, record=record)
+            return ReloadResult(
+                record.accepted, dry_run, record, store_backed, version, refusal
+            )
 
+        if store_backed:
+            if dry_run:
+                return result(
+                    Vetted(
+                        error="dry_run is not supported for store-backed "
+                        "tenants (activate gates instead)"
+                    ),
+                    refusal="dry-run",
+                )
+            try:
+                if has_text:
+                    put = store.put(tenant, source, actor=actor, note="reload")
+                    store.activate(tenant, put.version, actor=actor)
+                generation = target.refresh_tenant(tenant)
+            except (PolicyStoreError, ServiceError) as error:
+                return result(Vetted(error=str(error)))
+            return result(
+                Vetted(target.tenant_policy(tenant)),
+                generation,
+                store.active_version(tenant),
+            )
+        if not has_text:
+            return result(
+                Vetted(error="no candidate policy text"),
+                refusal="no-candidate",
+            )
+        if live is None:
+            return result(
+                Vetted(error=f"unknown tenant {tenant!r}"),
+                refusal="unknown-tenant",
+            )
+        vetted = vet_candidate(source, name, self.fail_on, live=live)
+        if vetted.error or dry_run:
+            return result(vetted)
         try:
-            candidate = load_policy_text(source, name=name)
-        except (GrbacError, ValueError, KeyError, TypeError) as error:
-            # GrbacError covers DSL/compile faults; the rest are what
-            # json.loads / from_dict raise on malformed documents.
-            return rejected(f"parse error: {error}")
-
-        findings = PolicyAnalyzer(candidate).lint()
-        finding_strs = tuple(f.describe() for f in findings)
-        blocking = self._blocking(findings)
-        diff_summary = diff_policies(live, candidate).describe()
-        if blocking:
-            return rejected(
-                "validation failed: "
-                + "; ".join(f.describe() for f in blocking),
-                candidate=candidate,
-                findings=finding_strs,
-                diff_summary=diff_summary,
-            )
-
-        if dry_run:
-            self._m_dry_runs.inc()
-            record = self.audit.append(
-                actor=actor,
-                action=action,
-                accepted=False,
-                dry_run=True,
-                policy_name=candidate.name,
-                old_revision=live.decision_revision,
-                new_revision=candidate.decision_revision,
-                generation=None,
-                findings=finding_strs,
-                diff_summary=diff_summary,
-                error="",
-                duration_s=time.perf_counter() - started,
-            )
-            return ReloadResult(accepted=False, dry_run=True, record=record)
-
-        try:
-            generation = self.target.swap_policy(candidate)
+            generation = target.swap_policy(vetted.candidate, tenant=tenant)
         except GrbacError as error:
-            # Swap refused (e.g. the candidate will not compile for the
-            # engine mode): the PDP still holds the old engine — swap
-            # is all-or-nothing by construction.
-            return rejected(
-                f"swap failed: {error}",
-                candidate=candidate,
-                findings=finding_strs,
-                diff_summary=diff_summary,
-            )
-        self._m_accepted.inc()
-        record = self.audit.append(
-            actor=actor,
-            action=action,
-            accepted=True,
-            dry_run=False,
-            policy_name=candidate.name,
-            old_revision=live.decision_revision,
-            new_revision=candidate.decision_revision,
-            generation=generation,
-            findings=finding_strs,
-            diff_summary=diff_summary,
-            error="",
-            duration_s=time.perf_counter() - started,
-        )
-        return ReloadResult(accepted=True, dry_run=False, record=record)
+            # Swap refused (e.g. the candidate will not compile): the
+            # PDP still holds the old engine — swap is all-or-nothing.
+            return result(replace(vetted, error=f"swap failed: {error}"))
+        return result(vetted, generation)
 
     def validate(
         self, source: str, actor: str = "", name: str = "candidate"
@@ -402,100 +522,30 @@ class PolicyAdministrator:
     ) -> PrepareResult:
         """Phase one: validate ``source`` and hold it warm for activate.
 
-        Runs the same parse/lint/diff pipeline as :meth:`reload` and —
-        on success — pre-builds the candidate's compiled snapshot
-        (memoized on the policy object, so the eventual
-        ``swap_policy`` pays no compile), then parks it under a token.
-        Nothing about the serving policy changes.  The cluster
-        supervisor prepares on *every* worker and activates only when
-        all of them accepted; any rejection here aborts the whole
-        cluster reload with nothing swapped anywhere.
+        Runs the same gate as :meth:`reload`, pre-building the
+        candidate's compiled snapshot (so the eventual ``swap_policy``
+        pays no compile), then parks it under a token.  Nothing about
+        the serving policy changes.  The cluster supervisor prepares on
+        *every* worker and activates only when all of them accepted;
+        any rejection here aborts the whole cluster reload with nothing
+        swapped anywhere.
         """
         started = time.perf_counter()
         live = self.target.policy
-
-        def rejected(
-            error: str,
-            candidate: Optional[GrbacPolicy] = None,
-            findings: Tuple[str, ...] = (),
-            diff_summary: str = "",
-        ) -> PrepareResult:
-            self._m_rejected.inc()
-            record = self.audit.append(
-                actor=actor,
-                action="prepare",
-                accepted=False,
-                dry_run=False,
-                policy_name=(
-                    candidate.name if candidate is not None else name
-                ),
-                old_revision=live.decision_revision,
-                new_revision=(
-                    candidate.decision_revision
-                    if candidate is not None
-                    else None
-                ),
-                generation=None,
-                findings=findings,
-                diff_summary=diff_summary,
-                error=error,
-                duration_s=time.perf_counter() - started,
-            )
-            return PrepareResult(accepted=False, token=None, record=record)
-
-        try:
-            candidate = load_policy_text(source, name=name)
-        except (GrbacError, ValueError, KeyError, TypeError) as error:
-            return rejected(f"parse error: {error}")
-
-        findings = PolicyAnalyzer(candidate).lint()
-        finding_strs = tuple(f.describe() for f in findings)
-        blocking = self._blocking(findings)
-        diff_summary = diff_policies(live, candidate).describe()
-        if blocking:
-            return rejected(
-                "validation failed: "
-                + "; ".join(f.describe() for f in blocking),
-                candidate=candidate,
-                findings=finding_strs,
-                diff_summary=diff_summary,
-            )
-        try:
-            candidate.compiled()
-        except GrbacError as error:
-            return rejected(
-                f"compile failed: {error}",
-                candidate=candidate,
-                findings=finding_strs,
-                diff_summary=diff_summary,
-            )
-
-        self._prepare_sequence += 1
-        token = f"prep-{self._prepare_sequence}"
-        self._prepared[token] = _PreparedCandidate(
-            token=token,
-            candidate=candidate,
-            findings=finding_strs,
-            diff_summary=diff_summary,
+        vetted = vet_candidate(
+            source, name, self.fail_on, live=live, precompile=True
         )
-        while len(self._prepared) > self.max_prepared:
-            oldest = next(iter(self._prepared))
-            del self._prepared[oldest]
-        record = self.audit.append(
-            actor=actor,
-            action="prepare",
-            accepted=False,
-            dry_run=False,
-            policy_name=candidate.name,
-            old_revision=live.decision_revision,
-            new_revision=candidate.decision_revision,
-            generation=None,
-            findings=finding_strs,
-            diff_summary=diff_summary,
-            error="",
-            duration_s=time.perf_counter() - started,
+        token = None
+        if not vetted.error:
+            self._prepare_sequence += 1
+            token = f"prep-{self._prepare_sequence}"
+            self._prepared[token] = vetted
+            while len(self._prepared) > self.max_prepared:
+                del self._prepared[next(iter(self._prepared))]
+        record = self._audit(started, actor, "prepare", live, vetted, name=name)
+        return PrepareResult(
+            accepted=token is not None, token=token, record=record
         )
-        return PrepareResult(accepted=True, token=token, record=record)
 
     def activate_prepared(self, token: str, actor: str = "") -> ReloadResult:
         """Phase two: swap in a previously prepared candidate.
@@ -508,83 +558,33 @@ class PolicyAdministrator:
         """
         started = time.perf_counter()
         live = self.target.policy
-        prepared = self._prepared.pop(token, None)
-
-        def finish(
-            accepted: bool, error: str, generation: Optional[int]
-        ) -> ReloadResult:
-            if accepted:
-                self._m_accepted.inc()
-            else:
-                self._m_rejected.inc()
-            record = self.audit.append(
-                actor=actor,
-                action="activate",
-                accepted=accepted,
-                dry_run=False,
-                policy_name=(
-                    prepared.candidate.name if prepared is not None else token
-                ),
-                old_revision=live.decision_revision,
-                new_revision=(
-                    prepared.candidate.decision_revision
-                    if prepared is not None
-                    else None
-                ),
-                generation=generation,
-                findings=prepared.findings if prepared is not None else (),
-                diff_summary=(
-                    prepared.diff_summary if prepared is not None else ""
-                ),
-                error=error,
-                duration_s=time.perf_counter() - started,
-            )
-            return ReloadResult(
-                accepted=accepted, dry_run=False, record=record
-            )
-
-        if prepared is None:
-            return finish(False, f"unknown prepare token {token!r}", None)
-        try:
-            generation = self.target.swap_policy(prepared.candidate)
-        except GrbacError as error:
-            return finish(False, f"swap failed: {error}", None)
-        return finish(True, "", generation)
+        vetted = self._prepared.pop(token, None)
+        generation = None
+        if vetted is None:
+            vetted = Vetted(error=f"unknown prepare token {token!r}")
+        else:
+            try:
+                generation = self.target.swap_policy(vetted.candidate)
+            except GrbacError as fault:
+                vetted = replace(vetted, error=f"swap failed: {fault}")
+        record = self._audit(
+            started, actor, "activate", live, vetted, token, generation=generation
+        )
+        return ReloadResult(record.accepted, dry_run=False, record=record)
 
     def abort_prepared(self, token: str, actor: str = "") -> bool:
         """Discard a prepared candidate; True if the token was live."""
-        prepared = self._prepared.pop(token, None)
-        if prepared is None:
+        vetted = self._prepared.pop(token, None)
+        if vetted is None:
             return False
-        self.audit.append(
-            actor=actor,
-            action="abort",
-            accepted=False,
-            dry_run=False,
-            policy_name=prepared.candidate.name,
-            old_revision=self.target.policy.decision_revision,
-            new_revision=prepared.candidate.decision_revision,
-            generation=None,
-            findings=prepared.findings,
-            diff_summary=prepared.diff_summary,
-            error="",
-            duration_s=0.0,
+        self._audit(
+            time.perf_counter(), actor, "abort", self.target.policy, vetted
         )
         return True
 
     def prepared_tokens(self) -> List[str]:
         """Outstanding prepare tokens, oldest first."""
         return list(self._prepared)
-
-    def _blocking(self, findings: List[Finding]) -> List[Finding]:
-        if self.fail_on is None:
-            return []
-        gate = _SEVERITY_RANK[self.fail_on]
-        return [
-            f
-            for f in findings
-            if _SEVERITY_RANK.get(f.severity, gate) <= gate
-        ]
 
 
 @dataclass

@@ -28,10 +28,10 @@ occupy a decision-plane connection slot:
                            either way.  404 unless the server was built
                            with an administrator.  ``?tenant=NAME`` scopes
                            the reload: store-backed tenants go through the
-                           store's put+activate lint gate (an **empty**
-                           body then refreshes the PDP from the store's
-                           current active version), pinned tenants through
-                           a per-tenant administrator.
+                           store's put+activate (an **empty** body then
+                           refreshes the PDP from the store's active
+                           version), pinned tenants through the default
+                           tenant's gate and swap — one audited decision.
 =========================  ==================================================
 
 Connections are read under a deadline (:attr:`AdminServer.read_timeout_s`,
@@ -48,8 +48,8 @@ import json
 from typing import Awaitable, Dict, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
 
-from repro.exceptions import PolicyStoreError, ServiceError
-from repro.service.pdp import DEFAULT_TENANT, PolicyDecisionPoint
+from repro.exceptions import ServiceError
+from repro.service.pdp import PolicyDecisionPoint
 
 #: Request line + headers must fit in this; admin requests are tiny.
 _MAX_REQUEST_BYTES = 8 * 1024
@@ -289,9 +289,6 @@ class AdminServer(AdminHTTPServer):
         super().__init__(host, port, read_timeout_s)
         self.pdp = pdp
         self.administrator = administrator
-        #: Lazily-created per-tenant administrators for pinned
-        #: (non-store) tenants reloaded via ``POST /reload?tenant=``.
-        self._tenant_admins: Dict[str, object] = {}
 
     def _route(
         self, method: str, path: str, query: Dict[str, str], body: bytes
@@ -374,124 +371,51 @@ class AdminServer(AdminHTTPServer):
     def _handle_reload(
         self, query: Dict[str, str], body: bytes
     ) -> Response:
-        """``POST /reload``: the body is the candidate policy text."""
+        """``POST /reload``: the body is the candidate policy text,
+        ``?tenant=`` scopes it; the administrator owns the cases."""
         try:
             policy_text = body.decode("utf-8")
         except UnicodeDecodeError:
             return 400, "text/plain", b"policy body must be UTF-8 text\n"
-        tenant = query.get("tenant")
-        actor = query.get("actor", "") or "admin-http"
-        dry_run = query.get("dry_run", "").lower() in ("1", "true", "yes")
-        if tenant is not None and tenant != DEFAULT_TENANT:
-            return self._handle_tenant_reload(
-                tenant, policy_text, actor, dry_run
-            )
-        if not policy_text.strip():
-            return (
-                400,
-                "text/plain",
-                b"empty body; POST the candidate policy (DSL or JSON)\n",
-            )
         result = self.administrator.reload(  # type: ignore[attr-defined]
             policy_text,
-            actor=actor,
-            dry_run=dry_run,
+            actor=query.get("actor", "") or "admin-http",
+            dry_run=query.get("dry_run", "").lower() in ("1", "true", "yes"),
+            tenant=query.get("tenant"),
         )
-        payload = {
-            "accepted": result.accepted,
-            "dry_run": result.dry_run,
-            "error": result.error,
-            "record": result.record.to_dict(),
-        }
+        tenant = result.record.tenant
+        if result.refusal:
+            # The request, not the candidate, was wrong.
+            status = 400
+            if result.refusal == "unknown-tenant":
+                status, message = 404, result.error
+            elif result.refusal == "dry-run":
+                message = "dry_run is not supported for store-backed tenants"
+            elif tenant is None:
+                message = "empty body; POST the candidate policy (DSL or JSON)"
+            else:
+                message = (
+                    f"unknown store tenant {tenant!r} (an empty body "
+                    "refreshes a store-backed tenant)"
+                )
+            return status, "text/plain", f"{message}\n".encode("utf-8")
+        payload: Dict[str, object] = {}
+        if tenant is not None:
+            payload["tenant"] = tenant
+        payload["accepted"] = result.accepted
+        if result.store_backed:
+            payload["error"] = result.error
+            if result.accepted:
+                payload["version"] = result.version
+                payload["generation"] = result.generation
+        else:
+            payload["dry_run"] = result.dry_run
+            payload["error"] = result.error
+            payload["record"] = result.record.to_dict()
         # A rejected candidate is a *content* problem: 422, with the
         # audited record explaining why, and the old policy serving.
         status = 200 if not result.error else 422
         return status, "application/json", json_body(payload)
-
-    def _handle_tenant_reload(
-        self, tenant: str, policy_text: str, actor: str, dry_run: bool
-    ) -> Response:
-        """``POST /reload?tenant=``: store-gated or per-tenant admin.
-
-        Mirrors the wire protocol's tenant-scoped ``reload`` op —
-        store-backed tenants ``put`` + ``activate`` (an empty body
-        means refresh-only), pinned tenants go through a lazily-built
-        per-tenant :class:`~repro.policy.admin.PolicyAdministrator`.
-        """
-        store = self.pdp.store
-        if store is not None and tenant in store:
-            if dry_run:
-                return (
-                    400,
-                    "text/plain",
-                    b"dry_run is not supported for store-backed tenants\n",
-                )
-            try:
-                if policy_text.strip():
-                    version = store.put(
-                        tenant, policy_text, actor=actor, note="admin-http"
-                    )
-                    store.activate(tenant, version.version, actor=actor)
-                generation = self.pdp.refresh_tenant(tenant)
-            except (PolicyStoreError, ServiceError) as error:
-                return (
-                    422,
-                    "application/json",
-                    json_body(
-                        {
-                            "tenant": tenant,
-                            "accepted": False,
-                            "error": str(error),
-                        }
-                    ),
-                )
-            return (
-                200,
-                "application/json",
-                json_body(
-                    {
-                        "tenant": tenant,
-                        "accepted": True,
-                        "error": "",
-                        "version": store.active_version(tenant),
-                        "generation": generation,
-                    }
-                ),
-            )
-        if not policy_text.strip():
-            return (
-                400,
-                "text/plain",
-                f"unknown store tenant {tenant!r} (an empty body "
-                "refreshes a store-backed tenant)\n".encode("utf-8"),
-            )
-        if tenant not in self.pdp.tenants():
-            return (
-                404,
-                "text/plain",
-                f"unknown tenant {tenant!r}\n".encode("utf-8"),
-            )
-        admin = self._tenant_admins.get(tenant)
-        if admin is None:
-            from repro.policy.admin import PolicyAdministrator
-            from repro.service.server import _TenantAdminTarget
-
-            admin = PolicyAdministrator(
-                _TenantAdminTarget(self.pdp, tenant),
-                fail_on=getattr(self.administrator, "fail_on", "error"),
-            )
-            self._tenant_admins[tenant] = admin
-        result = admin.reload(policy_text, actor=actor, dry_run=dry_run)
-        payload = {
-            "tenant": tenant,
-            "accepted": result.accepted,
-            "dry_run": result.dry_run,
-            "error": result.error,
-            "record": result.record.to_dict(),
-        }
-        return (200 if not result.error else 422), "application/json", json_body(
-            payload
-        )
 
 
 def json_body(payload: Dict[str, object]) -> bytes:

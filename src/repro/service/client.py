@@ -310,8 +310,8 @@ class RemotePDPClient:
         """Ask the server to hot-reload ``policy_text`` (DSL or JSON).
 
         With ``tenant`` the reload is tenant-scoped: store-backed
-        tenants go through ``put`` + ``activate`` (the store's lint
-        gate), pinned tenants through a per-tenant administrator.
+        tenants go through ``put`` + ``activate``, pinned tenants
+        through the same gate and swap as the default one.
         ``policy_text=None`` is only meaningful with a store-backed
         tenant — it refreshes the PDP from the store's current active
         version without shipping text.

@@ -90,8 +90,9 @@ from repro.obs.trace import (
     TraceContext,
     new_span_id,
 )
+from repro.policy.admin import DEFAULT_TENANT
 from repro.service.cache import CacheKey, DecisionCache
-from repro.store.store import DEFAULT_TENANT, PolicyStore
+from repro.store.store import PolicyStore
 
 
 class PDPOutcome(str, enum.Enum):
@@ -232,10 +233,8 @@ class _Pending:
     #: submit originated for a locally sampled request); ``None`` on
     #: untraced traffic.
     trace_ctx: Optional[TraceContext] = None
-    #: How the answer is delivered, attached by whichever front door
-    #: admitted the request: :meth:`PolicyDecisionPoint.submit` awaits
-    #: ``future``; ``submit_nowait`` is completed through ``callback``.
-    future: Optional["asyncio.Future[PDPResponse]"] = None
+    #: How the answer is delivered; ``submit_nowait`` attaches it
+    #: before the loop can run the batcher.
     callback: Optional[Callable[[PDPResponse], None]] = None
 
     @property
@@ -247,21 +246,25 @@ class _Pending:
 class _TenantState:
     """Per-tenant serving state: generation, origin, and counters.
 
-    Store-backed tenants deliberately hold **no strong engine
-    reference** — the engine is owned by the store's bounded compiled
-    LRU, so resident memory scales with the LRU capacity, not the
-    tenant count (the E13 bench gates on this).  What they do keep is
-    a *weak* reference plus the version it was resolved at: while the
-    active pointer stands still and the LRU has not evicted, requests
-    skip the store's locks entirely.  Tenants swapped in directly via
-    :meth:`PolicyDecisionPoint.swap_policy` pin a strong engine
-    reference here instead.
+    The default tenant is one of these too — pinned to the constructor
+    engine, created in ``__init__``.  Store-backed tenants deliberately
+    hold **no strong engine reference** — the engine is owned by the
+    store's bounded compiled LRU, so resident memory scales with the
+    LRU capacity, not the tenant count (the E13 bench gates on this).
+    What they do keep is a *weak* reference plus the version it was
+    resolved at: while the active pointer stands still and the LRU has
+    not evicted, requests skip the store's locks entirely.  Tenants
+    swapped in directly via :meth:`PolicyDecisionPoint.swap_policy`
+    pin a strong engine reference here instead.
     """
 
     name: str
-    #: Per-tenant swap counter; leads this tenant's cache keys exactly
-    #: as :attr:`PolicyDecisionPoint.generation` leads the default
-    #: tenant's.
+    #: Install counter, bumped by every swap/refresh (and an observed
+    #: store pointer move).  It leads this tenant's cache keys: two
+    #: policies can legitimately share a ``decision_revision`` (a
+    #: freshly-built policy starts its counters from the same
+    #: deterministic construction order), so revision alone cannot
+    #: tell pre-install entries from post-install ones.
     generation: int = 0
     #: Store version the last resolution saw; a pointer move observed
     #: at resolve time bumps :attr:`generation` so cached decisions
@@ -275,6 +278,17 @@ class _TenantState:
     #: owner (eviction still bounds memory); the reference only lets
     #: the per-request path skip the store's locks when nothing moved.
     store_engine: Optional["weakref.ref"] = None
+    #: Environment-source identity tracking: cache keys must change
+    #: when the serving engine's ``environment`` is attached, detached
+    #: or replaced — two different sources can carry equal revision
+    #: numbers.  Compared by identity in ``_env_component``; the epoch
+    #: bumps on every observed change.  Per tenant, because tenants
+    #: alternate through a flush and a shared epoch would thrash.
+    env_source: object = None
+    env_epoch: int = 0
+    #: The caller-supplied ``env_revision=`` reader (default tenant
+    #: only); overrides source tracking.
+    env_revision: Optional[Callable[[], int]] = None
     # Per-tenant tallies.  Deliberately plain attributes rather than
     # registry counters: registering ``pdp.tenant.<name>.*`` series
     # per tenant made exposition cardinality grow with tenant count
@@ -518,32 +532,26 @@ class PolicyDecisionPoint:
         store: Optional[PolicyStore] = None,
         audit_writer: Optional[HashChainWriter] = None,
     ) -> None:
-        self.engine = engine
         self.config = config or PDPConfig()
         self.metrics = metrics if metrics is not None else engine.metrics
         self.observers = observers if observers is not None else engine.observers
         self.cache = DecisionCache(self.config.cache_size)
-        #: Monotonic policy generation, bumped by every
-        #: :meth:`swap_policy`.  It is the leading cache-key component:
-        #: two policies can legitimately share a ``decision_revision``
-        #: (a freshly-built policy starts its counters from the same
-        #: deterministic construction order), so revision alone cannot
-        #: distinguish pre-swap entries from post-swap ones.
-        self.generation = 0
-        self._env_revision = self._resolve_env_revision(env_revision)
-        # Environment-source identity tracking: cache keys must change
-        # when `engine.environment` itself is attached, detached, or
-        # replaced after construction — two different sources can carry
-        # equal revision numbers.  Compared by identity in
-        # _env_component; the epoch bumps on every observed change.
-        self._env_source = engine.environment
-        self._env_epoch = 0
         #: Optional multi-tenant policy store; tenants it holds resolve
         #: engines lazily through its bounded compiled-snapshot LRU.
-        #: The constructor engine always serves the *default* tenant,
-        #: so single-policy deployments behave exactly as before.
         self.store = store
-        self._tenants: Dict[str, _TenantState] = {}
+        #: The default tenant is a tenant: the constructor engine,
+        #: pinned, so single-policy traffic takes the one resolution
+        #: path.  Its engine is also the template every other tenant's
+        #: engine is built :meth:`~MediationEngine.like`.
+        self._default = _TenantState(
+            name=DEFAULT_TENANT,
+            engine=engine,
+            env_source=engine.environment,
+            env_revision=self._resolve_env_revision(env_revision),
+        )
+        self._tenants: Dict[str, _TenantState] = {
+            DEFAULT_TENANT: self._default
+        }
         self._queue: Optional["asyncio.Queue[object]"] = None
         self._batcher: Optional["asyncio.Task[None]"] = None
         self._accepting = False
@@ -686,6 +694,16 @@ class PolicyDecisionPoint:
         return time.monotonic() - self._started_at
 
     @property
+    def engine(self) -> MediationEngine:
+        """The default tenant's engine (read-only; see :meth:`swap_policy`)."""
+        return self._default.engine  # type: ignore[return-value]
+
+    @property
+    def generation(self) -> int:
+        """The default tenant's install counter."""
+        return self._default.generation
+
+    @property
     def policy(self) -> GrbacPolicy:
         """The policy currently being served (default tenant)."""
         return self.engine.policy
@@ -705,21 +723,17 @@ class PolicyDecisionPoint:
     ) -> Optional[Tuple[MediationEngine, int, _TenantState]]:
         """``(engine, generation, state)`` for ``tenant``, or None.
 
-        Resolution order: the default tenant is always the constructor
-        engine (single-policy behavior, byte-compatible); a tenant
-        with a pinned engine (direct :meth:`swap_policy`) serves that;
-        otherwise the attached store resolves the tenant's *active*
-        version through its compiled LRU, as an engine like the
-        default one (same threshold, environment, constraints) — and a
-        pointer move observed
-        here bumps the tenant's generation, so a store-side
-        ``activate``/``rollback`` invalidates cached decisions without
-        any callback plumbing.  ``None`` means the tenant is unknown
-        (or store-known but never activated): the caller answers
-        ``DENY_UNKNOWN_TENANT``.
+        Resolution order: a tenant with a pinned engine (the default
+        tenant always; any other after a direct :meth:`swap_policy`)
+        serves that; otherwise the attached store resolves the
+        tenant's *active* version through its compiled LRU, as an
+        engine like the default one (same threshold, environment,
+        constraints) — and a pointer move observed here bumps the
+        tenant's generation, so a store-side ``activate``/``rollback``
+        invalidates cached decisions without any callback plumbing.
+        ``None`` means the tenant is unknown (or store-known but never
+        activated): the caller answers ``DENY_UNKNOWN_TENANT``.
         """
-        if tenant == DEFAULT_TENANT:
-            return self.engine, self.generation, self._tenant_state(tenant)
         state = self._tenants.get(tenant)
         if state is not None and state.engine is not None:
             return state.engine, state.generation, state
@@ -752,12 +766,11 @@ class PolicyDecisionPoint:
 
     def tenants(self) -> List[str]:
         """Every tenant this PDP can currently serve, sorted."""
-        names = {DEFAULT_TENANT}
-        names.update(
+        names = {
             name
             for name, state in self._tenants.items()
             if state.engine is not None
-        )
+        }
         if self.store is not None:
             names.update(self.store.tenants())
         return sorted(names)
@@ -777,40 +790,16 @@ class PolicyDecisionPoint:
 
         The explicit admin hook behind ``reload?tenant=`` without a
         policy body: drops any pinned engine (the store becomes the
-        authority again) and, for the default tenant, swaps the
-        store's active *default* policy into the constructor engine.
+        authority again).  The default tenant stays pinned — its
+        refresh installs the store's active *default* policy.
 
         :raises ServiceError: no store attached.
         :raises PolicyStoreError: tenant unknown to the store / no
             active version.
         """
-        store = self.store
-        if store is None:
+        if self.store is None:
             raise ServiceError("no policy store attached to this PDP")
-        name = tenant or DEFAULT_TENANT
-        if name == DEFAULT_TENANT:
-            return self.swap_policy(store.policy(DEFAULT_TENANT))
-        if name not in store:
-            raise PolicyStoreError(f"unknown tenant {name!r}")
-        # Raises if never activated.
-        engine, version = store.engine(name, self.engine)
-        state = self._tenant_state(name)
-        state.engine = None
-        state.store_engine = weakref.ref(engine)
-        state.version = version
-        state.generation += 1
-        state.reloads += 1
-        self._m_reloads.inc()
-        hub = self.observers
-        if hub:
-            hub.emit(
-                "pdp.reload",
-                policy=engine.policy.name,
-                tenant=name,
-                generation=state.generation,
-                revision=engine.policy.decision_revision,
-            )
-        return state.generation
+        return self._install(tenant or DEFAULT_TENANT, None)
 
     def tenants_overview(self) -> List[Dict[str, object]]:
         """One summary row per tenant — the ``tenants`` op / ``GET
@@ -820,20 +809,17 @@ class PolicyDecisionPoint:
         if self.store is not None:
             for row in self.store.overview():
                 rows[str(row["tenant"])] = {**row, "source": "store"}
-        default = rows.setdefault(
-            DEFAULT_TENANT, {"tenant": DEFAULT_TENANT, "source": "engine"}
-        )
-        default["policy"] = self.engine.policy.name
-        default["generation"] = self.generation
         for name, state in self._tenants.items():
             row = rows.setdefault(name, {"tenant": name})
-            if state.engine is not None:
+            if state is self._default:
+                row.setdefault("source", "engine")
+            elif state.engine is not None:
                 row["source"] = "swap"
+            if state.engine is not None:
                 row["policy"] = state.engine.policy.name
-            if name != DEFAULT_TENANT:
-                row["generation"] = state.generation
-                if state.version is not None:
-                    row["serving_version"] = state.version
+            row["generation"] = state.generation
+            if state.version is not None:
+                row["serving_version"] = state.version
             row["requests"] = state.requests
             row["cache_hits"] = state.cache_hits
             row["decided"] = state.decided
@@ -848,60 +834,88 @@ class PolicyDecisionPoint:
     ) -> int:
         """Atomically replace the served policy; returns the generation.
 
-        A fresh engine is built on ``policy`` by
-        :meth:`MediationEngine.like` — carrying over the old engine's
-        environment source, confidence threshold, internal cache
-        sizing and decision constraints, pre-compiled so the first
-        post-swap batch does not pay the compile inside its latency
-        budget — then swapped in with *no await point* between building it and
-        publishing it: on asyncio's single thread, a micro-batch that
-        already captured its engine (see :meth:`_flush`) completes
-        against the old snapshot, and every batch formed afterwards sees
-        only the new one.  :attr:`generation` bumps in the same
-        synchronous step, so pre-swap :class:`DecisionCache` entries
-        stop matching by construction — even when old and new policies
-        share a ``decision_revision``.
+        ``tenant=None`` is the default tenant.  Naming another tenant
+        targets (or creates) that tenant's pinned engine instead and
+        bumps the *tenant's* generation — every other tenant keeps
+        serving its engine and its cached decisions untouched.
 
-        This is the mechanism only; validation, diffing, and audit live
-        in :class:`repro.policy.admin.PolicyAdministrator`, which calls
+        This is the mechanism only (see :meth:`_install`); validation,
+        diffing, and audit live in
+        :class:`repro.policy.admin.PolicyAdministrator`, which calls
         this after a candidate passes its checks.
-
-        With ``tenant`` naming a non-default tenant, the swap targets
-        (or creates) that tenant's pinned engine instead and bumps the
-        *tenant's* generation — the default tenant and every other
-        tenant keep serving their engines and their cached decisions
-        untouched.
         """
-        if tenant is not None and tenant != DEFAULT_TENANT:
-            return self._swap_tenant_policy(policy, tenant)
-        old = self.engine
+        return self._install(tenant or DEFAULT_TENANT, policy)
+
+    def _install(self, name: str, policy: Optional[GrbacPolicy]) -> int:
+        """The one install: make tenant ``name`` serve a new engine.
+
+        With ``policy`` the engine is built on it
+        :meth:`MediationEngine.like` the tenant's previous pinned
+        engine (the default tenant's when it had none — a tenant minted
+        by its first swap inherits the deployment's settings): same
+        environment source, confidence threshold, internal cache sizing
+        and decision constraints, pre-compiled so the first post-swap
+        batch does not pay the compile inside its latency budget.  With
+        ``None`` it is the store's engine for the tenant's active
+        version, built like the default tenant's.
+
+        Either way it is published with *no await point* between
+        building it and publishing it: on asyncio's single thread, a
+        micro-batch that already captured its engine (see
+        :meth:`_flush`) completes against the old snapshot, and every
+        batch formed afterwards sees only the new one.  The tenant's
+        generation bumps in the same synchronous step, so pre-install
+        :class:`DecisionCache` entries stop matching by construction —
+        even when old and new policies share a ``decision_revision``.
+        Every install is counted, timed (``pdp.reload_duration``),
+        announced (``pdp.reload`` hub event), and leaves a flight
+        entry and a trace-sink span.
+        """
         started = time.perf_counter()
-        engine = old.like(policy)
-        # The swap: two plain attribute writes, no await between them,
-        # so no task can observe one without the other.
-        self.engine = engine
-        self.generation += 1
-        generation = self.generation
+        state = self._tenants.get(name)
+        template = self._default.engine
+        if policy is None:
+            # Raises for a tenant the store does not know / never
+            # activated, before any state exists for it.
+            engine, version = self.store.engine(name, template)
+        else:
+            if state is not None and state.engine is not None:
+                template = state.engine
+            engine, version = template.like(policy), None
+        if state is None:
+            state = self._tenant_state(name)
+        # Pinned (a strong reference, the store no longer the
+        # authority) after a swap; the default tenant always — it is
+        # the template.  Otherwise the store's LRU owns the engine.
+        pinned = policy is not None or state is self._default
+        state.engine = engine if pinned else None
+        state.store_engine = None if pinned else weakref.ref(engine)
+        state.version = None if pinned else version
+        state.generation += 1
+        generation = state.generation
         duration = time.perf_counter() - started
+        state.reloads += 1
         self._m_reloads.inc()
         self._h_reload.observe(duration)
+        serving = engine.policy
+        annotations = {
+            "policy": serving.name,
+            "tenant": name,
+            "generation": generation,
+            "revision": serving.decision_revision,
+        }
         hub = self.observers
         if hub:
-            hub.emit(
-                "pdp.reload",
-                policy=policy.name,
-                generation=generation,
-                revision=policy.decision_revision,
-            )
+            hub.emit("pdp.reload", **annotations)
         rationale = (
-            f"policy swapped to {policy.name!r} "
-            f"(generation {generation}, revision {policy.decision_revision})"
+            f"policy swapped to {serving.name!r} (tenant {name!r}, "
+            f"generation {generation}, revision {serving.decision_revision})"
         )
         if self.flight is not None:
             self.flight.record(
                 subject=None,
                 transaction="policy.reload",
-                obj=policy.name,
+                obj=serving.name,
                 outcome="reload",
                 granted=False,
                 rationale=rationale,
@@ -909,52 +923,15 @@ class PolicyDecisionPoint:
             )
         sink = self.trace_sink
         if sink is not None:
-            trace = DecisionTrace(None, "policy.reload", policy.name,
+            trace = DecisionTrace(None, "policy.reload", serving.name,
                                   mode="admin")
             trace.granted = False
             trace.rationale = rationale
             trace.add_span(
-                "pdp.reload",
-                duration_s=duration,
-                annotations={
-                    "policy": policy.name,
-                    "generation": generation,
-                    "revision": policy.decision_revision,
-                },
+                "pdp.reload", duration_s=duration, annotations=annotations
             )
             sink.offer(trace_to_dict(trace))
         return generation
-
-    def _swap_tenant_policy(self, policy: GrbacPolicy, tenant: str) -> int:
-        """Pin a fresh engine for a non-default tenant; its generation.
-
-        Engine settings (environment, threshold, cache sizing,
-        constraints) carry over from the tenant's previous pinned
-        engine when it has one, and from the default engine otherwise
-        — a tenant minted by its first swap inherits the deployment's
-        settings.
-        """
-        state = self._tenant_state(tenant)
-        template = state.engine if state.engine is not None else self.engine
-        started = time.perf_counter()
-        state.engine = engine = template.like(policy)
-        state.version = None  # pinned: the store is no longer authority
-        state.store_engine = None
-        state.generation += 1
-        duration = time.perf_counter() - started
-        state.reloads += 1
-        self._m_reloads.inc()
-        self._h_reload.observe(duration)
-        hub = self.observers
-        if hub:
-            hub.emit(
-                "pdp.reload",
-                policy=policy.name,
-                tenant=tenant,
-                generation=state.generation,
-                revision=policy.decision_revision,
-            )
-        return state.generation
 
     # ------------------------------------------------------------------
     # Continuous authorization (push revocation)
@@ -1036,13 +1013,24 @@ class PolicyDecisionPoint:
             fresh context when sampled.
         :raises ServiceError: when the service is not running.
         """
-        admitted = self._admit(
-            request, environment_roles, timeout, request_id, tenant, trace_ctx
+        future: "asyncio.Future[PDPResponse]" = (
+            asyncio.get_running_loop().create_future()
         )
-        if type(admitted) is PDPResponse:
-            return admitted
-        admitted.future = asyncio.get_running_loop().create_future()
-        return await admitted.future
+
+        def resolve(response: PDPResponse) -> None:
+            if not future.done():  # a cancelled caller is not an error
+                future.set_result(response)
+
+        self.submit_nowait(
+            request,
+            resolve,
+            environment_roles=environment_roles,
+            timeout=timeout,
+            request_id=request_id,
+            tenant=tenant,
+            trace_ctx=trace_ctx,
+        )
+        return await future
 
     def submit_nowait(
         self,
@@ -1054,7 +1042,7 @@ class PolicyDecisionPoint:
         tenant: Optional[str] = None,
         trace_ctx: Optional[TraceContext] = None,
     ) -> None:
-        """:meth:`submit` without a coroutine: ``callback(response)``.
+        """The one completion path: ``callback(response)``.
 
         Whatever admission can answer on its own — a cache hit, a shed,
         an unknown tenant — reaches ``callback`` before this returns,
@@ -1097,20 +1085,20 @@ class PolicyDecisionPoint:
         resolved = self._resolve_tenant(tenant_name)
         if resolved is None:
             self._m_unknown_tenant.inc()
-            latency = time.perf_counter() - submitted
-            self._h_latency.observe(latency)
-            response = PDPResponse(
-                request=request,
-                outcome=PDPOutcome.DENY_UNKNOWN_TENANT,
-                granted=False,
-                decision=None,
-                detail=f"unknown tenant {tenant_name!r}",
-                latency_s=latency,
-                request_id=request_id,
-                tenant=tenant_name,
-                trace_id=trace_ctx.trace_id if trace_ctx is not None else "",
+            response = self._refuse(
+                _Pending(
+                    request,
+                    env_override=None,
+                    submitted_at=submitted,
+                    deadline=None,
+                    request_id=request_id,
+                    tenant=tenant_name,
+                    trace_ctx=trace_ctx,
+                ),
+                PDPOutcome.DENY_UNKNOWN_TENANT,
+                f"unknown tenant {tenant_name!r}",
             )
-            self._observe_response(response)
+            self._h_latency.observe(response.latency_s)
             return response
         engine, generation, state = resolved
         state.requests += 1
@@ -1142,13 +1130,7 @@ class PolicyDecisionPoint:
             cached = None
             self.cache.note_uncacheable()
         else:
-            key = self._cache_key(
-                request,
-                override,
-                engine=engine,
-                generation=generation,
-                tenant=tenant_name,
-            )
+            key = self._cache_key(request, override, engine, generation, state)
             cached = self.cache.get(key)
         if cached is not None:
             self._m_cache_hits.inc()
@@ -1278,19 +1260,10 @@ class PolicyDecisionPoint:
         groups: Dict[str, List[_Pending]] = {}
         for item in batch:
             if item.deadline is not None and now > item.deadline:
-                self._finish(
+                self._refuse(
                     item,
-                    PDPResponse(
-                        request=item.request,
-                        outcome=PDPOutcome.DENY_TIMEOUT,
-                        granted=False,
-                        decision=None,
-                        detail="deadline expired while queued",
-                        latency_s=time.perf_counter() - item.submitted_at,
-                        request_id=item.request_id,
-                        tenant=item.tenant,
-                        trace_id=item.trace_id,
-                    ),
+                    PDPOutcome.DENY_TIMEOUT,
+                    "deadline expired while queued",
                 )
                 self._m_timeouts.inc()
                 continue
@@ -1306,21 +1279,10 @@ class PolicyDecisionPoint:
                 # store swap-out); answer explicitly, never crash.
                 self._m_unknown_tenant.inc()
                 for item in items:
-                    self._finish(
+                    self._refuse(
                         item,
-                        PDPResponse(
-                            request=item.request,
-                            outcome=PDPOutcome.DENY_UNKNOWN_TENANT,
-                            granted=False,
-                            decision=None,
-                            detail=f"unknown tenant {tenant!r}",
-                            latency_s=(
-                                time.perf_counter() - item.submitted_at
-                            ),
-                            request_id=item.request_id,
-                            tenant=tenant,
-                            trace_id=item.trace_id,
-                        ),
+                        PDPOutcome.DENY_UNKNOWN_TENANT,
+                        f"unknown tenant {tenant!r}",
                     )
                 continue
             engine, generation, state = resolved
@@ -1359,19 +1321,8 @@ class PolicyDecisionPoint:
             unresolved = [i for i in live if id(i) not in decisions]
             self._m_errors.inc(len(unresolved))
             for item in unresolved:
-                self._finish(
-                    item,
-                    PDPResponse(
-                        request=item.request,
-                        outcome=PDPOutcome.ERROR,
-                        granted=False,
-                        decision=None,
-                        detail=f"engine error: {error!r}",
-                        latency_s=time.perf_counter() - item.submitted_at,
-                        request_id=item.request_id,
-                        tenant=tenant,
-                        trace_id=item.trace_id,
-                    ),
+                self._refuse(
+                    item, PDPOutcome.ERROR, f"engine error: {error!r}"
                 )
             live = [i for i in live if id(i) in decisions]
         self._m_decided.inc(len(live))
@@ -1389,9 +1340,9 @@ class PolicyDecisionPoint:
                     self._cache_key(
                         item.request,
                         item.env_override,
-                        engine=engine,
-                        generation=generation,
-                        tenant=tenant,
+                        engine,
+                        generation,
+                        state,
                     ),
                     decision,
                 )
@@ -1413,11 +1364,9 @@ class PolicyDecisionPoint:
             )
 
     def _decide_traced(
-        self, item: _Pending, engine: Optional[MediationEngine] = None
+        self, item: _Pending, engine: MediationEngine
     ) -> Decision:
         """Decide one sampled request with a pipeline trace, export it."""
-        if engine is None:
-            engine = self.engine
         env = set(item.env_override) if item.env_override is not None else None
         started = time.perf_counter()
         decision = engine.decide(
@@ -1561,9 +1510,16 @@ class PolicyDecisionPoint:
                 obj=item.request.obj,
                 detail=detail,
             )
+        return self._refuse(item, PDPOutcome.DENY_OVERLOAD, detail)
+
+    def _refuse(
+        self, item: _Pending, outcome: PDPOutcome, detail: str
+    ) -> PDPResponse:
+        """The one constructor for answers that mediated nothing —
+        unknown tenant, timeout, engine error, overload."""
         response = PDPResponse(
             request=item.request,
-            outcome=PDPOutcome.DENY_OVERLOAD,
+            outcome=outcome,
             granted=False,
             decision=None,
             detail=detail,
@@ -1577,13 +1533,12 @@ class PolicyDecisionPoint:
 
     def _finish(self, item: _Pending, response: PDPResponse) -> None:
         self._observe_response(response)
+        # None only for a refusal inside _admit, whose caller delivers.
         if item.callback is not None:
             try:
                 item.callback(response)
             except Exception:  # noqa: BLE001 - one caller's bug must not stop the batcher
                 self._m_errors.inc()
-        elif item.future is not None and not item.future.done():
-            item.future.set_result(response)
 
     def _observe_response(self, response: PDPResponse) -> None:
         """Feed the flight recorder, SLO tracker, per-tenant latency
@@ -1675,89 +1630,63 @@ class PolicyDecisionPoint:
             )
         return lambda: source.revision  # type: ignore[attr-defined]
 
-    def _env_component(self, engine: MediationEngine) -> Optional[object]:
+    @staticmethod
+    def _env_component(
+        state: _TenantState, engine: MediationEngine
+    ) -> Optional[object]:
         """The environment part of the cache key, or None (uncacheable).
 
         Resolved against the engine's *live* environment source, with
-        an identity-keyed epoch: replacing, attaching, or detaching the
-        source bumps :attr:`_env_epoch`, so keys built against the old
-        source stop matching even when old and new sources happen to
-        carry equal revision numbers.
+        an identity-keyed epoch kept on the tenant's state: replacing,
+        attaching, or detaching the source bumps it, so keys built
+        against the old source stop matching even when old and new
+        sources happen to carry equal revision numbers.
         """
-        reader = self._env_revision
+        reader = state.env_revision
         if reader is not None:
             return ("revision", reader())
         environment = engine.environment
-        if environment is not self._env_source:
-            self._env_source = environment
-            self._env_epoch += 1
+        if environment is not state.env_source:
+            state.env_source = environment
+            state.env_epoch += 1
         if environment is None:
-            return ("none", self._env_epoch)
+            return ("none", state.env_epoch)
         if not hasattr(environment, "revision"):
             return None  # opaque source: source-resolved uncacheable
         return (
             "epoch",
-            self._env_epoch,
+            state.env_epoch,
             environment.revision,  # type: ignore[attr-defined]
         )
-
-    @staticmethod
-    def _tenant_env_component(engine: MediationEngine) -> Optional[object]:
-        """Environment key component for a *non-default* tenant engine.
-
-        Tenant engines alternate through the flush loop, so the
-        default tenant's identity-epoch tracking (which bumps on every
-        observed source change) would thrash the epoch and destroy
-        cache hits.  Tenant engines instead key on the source's own
-        revision — store-built engines have no environment source
-        (a stable ``("none", 0)``), and an opaque source is simply
-        uncacheable, exactly as on the default path.
-        """
-        environment = engine.environment
-        if environment is None:
-            return ("none", 0)
-        if not hasattr(environment, "revision"):
-            return None
-        return ("revision", environment.revision)  # type: ignore[attr-defined]
 
     def _cache_key(
         self,
         request: AccessRequest,
         env_override: Optional[FrozenSet[str]],
-        engine: Optional[MediationEngine] = None,
-        generation: Optional[int] = None,
-        tenant: str = DEFAULT_TENANT,
+        engine: MediationEngine,
+        generation: int,
+        state: _TenantState,
     ) -> Optional[CacheKey]:
         """The generation- and revision-pinned key, or None (uncacheable).
 
-        ``engine``/``generation`` default to the live ones; the batcher
-        passes the pair it captured at flush start so entries are filed
-        under the policy that actually rendered them.  ``tenant``
-        leads the tuple, so two tenants serving policies with equal
-        revisions (a shared template text) can never collide.
+        ``engine``/``generation`` are the pair the caller resolved — the
+        batcher passes the one it captured at flush start, so entries
+        are filed under the policy that actually rendered them.  The
+        tenant's name leads the tuple, so two tenants serving policies
+        with equal revisions (a shared template text) can never collide.
         """
-        if self.config.cache_size == 0:
-            return None
-        if engine is None:
-            engine = self.engine
-        if generation is None:
-            generation = self.generation
         if engine.decision_constraints:
             # A constraint may consult state outside the key; mirror
             # the engine's own policy of never caching around them.
             return None
         if env_override is not None:
             env_component: Optional[object] = ("override", env_override)
-        elif tenant == DEFAULT_TENANT:
-            env_component = self._env_component(engine)
-            if env_component is None:
-                return None
         else:
-            env_component = self._tenant_env_component(engine)
+            env_component = self._env_component(state, engine)
             if env_component is None:
                 return None
         return (
-            tenant,
+            state.name,
             generation,
             engine.policy.decision_revision,
             env_component,
@@ -1806,8 +1735,7 @@ class PolicyDecisionPoint:
             "trace_sample_rate": self.config.trace_sample_rate,
             "traces_sampled": self.sampler.sampled,
         }
-        if self._tenants or self.store is not None:
-            data["tenants"] = self.tenants_overview()
+        data["tenants"] = self.tenants_overview()
         if self.store is not None:
             data["store"] = self.store.stats()
         if self.trace_sink is not None:

@@ -42,7 +42,7 @@ import asyncio
 import time
 from typing import Callable, Dict, Optional
 
-from repro.exceptions import PolicyStoreError, ServiceError
+from repro.exceptions import ServiceError
 from repro.service.pdp import (
     DEFAULT_TENANT,
     PDPOutcome,
@@ -71,6 +71,7 @@ from repro.service.protocol import (
 from repro.service.transport import WireConnection
 
 _NO_ADMIN = "policy administration is not enabled on this server"
+_NO_POLICY = "'policy' must be non-empty policy text (DSL or serialized JSON)"
 
 
 class PDPServer:
@@ -84,8 +85,8 @@ class PDPServer:
         :class:`~repro.policy.admin.PolicyAdministrator` bound to the
         same PDP; enables the ``reload`` wire op (and the two-phase
         ``reload_prepare``/``reload_activate``/``reload_abort`` ops
-        the cluster supervisor drives).  Servers without one answer
-        reload attempts with an explicit error.
+        the cluster supervisor drives).  Servers without one refuse
+        every ``reload*`` op, for any tenant, and change nothing.
     :param drain_timeout_s: bound on the graceful drain when
         :meth:`serve_forever` shuts down (signal or cancellation).
         ``None`` drains without a deadline; past the deadline queued
@@ -129,10 +130,6 @@ class PDPServer:
         #: them; their ratio is the write-coalescing factor.
         self._m_responses = pdp.metrics.counter("server.responses")
         self._m_socket_writes = pdp.metrics.counter("server.socket_writes")
-        #: Lazily-created per-tenant administrators for pinned
-        #: (non-store) tenants, so tenant-scoped reloads get the same
-        #: lint/diff/audit gate as the default path.
-        self._tenant_admins: "dict[str, object]" = {}
         if environment is not None:
             pdp.watch_environment(environment.bus)
 
@@ -293,6 +290,8 @@ class PDPServer:
         try:
             if handler is None:
                 raise ServiceError(f"unknown op {op!r}")
+            if op.startswith("reload") and self.administrator is None:
+                raise ServiceError(_NO_ADMIN)  # no mutation, any tenant
             reply = handler(self, payload, connection)
         except ServiceError as error:
             return {"id": request_id, "error": str(error)}
@@ -318,11 +317,7 @@ class PDPServer:
             tenant = payload.get("tenant")
             if tenant is not None and not isinstance(tenant, str):
                 raise ServiceError("'tenant' must be a string")
-            interned = InternTables.from_policy(
-                self.pdp.policy
-                if tenant is None or tenant == DEFAULT_TENANT
-                else self.pdp.tenant_policy(tenant)
-            )
+            interned = InternTables.from_policy(self.pdp.tenant_policy(tenant))
         connection.tables = interned
         return interned.to_payload()
 
@@ -494,12 +489,11 @@ class PDPServer:
         answers with a ``token``; ``reload_activate`` swaps a prepared
         token in (the cheap, non-rejectable phase the supervisor fans
         out only after *every* worker prepared); ``reload_abort``
-        discards one.  All three are admin-gated like ``reload``.
+        discards one.  All three are admin-gated like ``reload`` (in
+        :meth:`_handle_op`).
         """
         op = payload["op"]
         administrator = self.administrator
-        if administrator is None:
-            raise ServiceError(_NO_ADMIN)
         actor = _actor(payload)
         if op == "reload_prepare":
             prepared = administrator.prepare(
@@ -532,103 +526,58 @@ class PDPServer:
         }
 
     def _op_reload(self, payload: dict, connection: "_Connection") -> dict:
+        """The ``reload`` op: parse the arguments, ask the deployment's
+        one :class:`~repro.policy.admin.PolicyAdministrator` (which
+        owns the tenant cases), map its answer onto the reply."""
         tenant = payload.get("tenant")
-        if tenant is not None:
-            if not isinstance(tenant, str) or not tenant:
-                raise ServiceError("'tenant' must be a non-empty string")
-            if tenant != DEFAULT_TENANT:
-                return self._reload_tenant(tenant, payload)
-        administrator = self.administrator
-        if administrator is None:
-            raise ServiceError(_NO_ADMIN)
-        policy_text = _policy_text(payload)
-        actor = _actor(payload)
-        result = administrator.reload(
-            policy_text, actor=actor, dry_run=_dry_run(payload)
-        )
-        return {
-            "op": "reload",
-            "accepted": result.accepted,
-            "dry_run": result.dry_run,
-            "error": result.error,
-            "record": result.record.to_dict(),
-        }
-
-    def _reload_tenant(self, tenant: str, payload: dict) -> dict:
-        """Tenant-scoped ``reload``: store-gated or per-tenant admin.
-
-        Three shapes, mirroring ``POST /reload?tenant=`` on the admin
-        sidecar:
-
-        * store-backed tenant **with** policy text — ``put`` +
-          ``activate`` through the store's lint gate, then refresh the
-          PDP's resolution (generation bump drops stale cache lines);
-        * store-backed tenant **without** text — refresh only, for
-          activations done out-of-band (CLI, another process);
-        * pinned tenant with text — a lazily-created per-tenant
-          :class:`~repro.policy.admin.PolicyAdministrator` applies the
-          same lint/diff/audit gate as the default path.
-        """
-        actor = _actor(payload)
-        dry_run = _dry_run(payload)
+        if tenant is not None and (not isinstance(tenant, str) or not tenant):
+            raise ServiceError("'tenant' must be a non-empty string")
+        scoped = tenant is not None and tenant != DEFAULT_TENANT
         policy_text = payload.get("policy")
         if policy_text is not None and (
             not isinstance(policy_text, str) or not policy_text.strip()
         ):
             raise ServiceError(
                 "'policy' must be non-empty policy text when present"
+                if scoped
+                else _NO_POLICY
             )
-        store = self.pdp.store
-        if store is not None and tenant in store:
-            if dry_run:
-                raise ServiceError(
-                    "dry_run is not supported for store-backed tenants "
-                    "(activate gates instead)"
-                )
-            reply = {"op": "reload", "tenant": tenant, "dry_run": False}
-            try:
-                if policy_text is not None:
-                    version = store.put(
-                        tenant, policy_text, actor=actor, note="wire reload"
-                    )
-                    store.activate(tenant, version.version, actor=actor)
-                generation = self.pdp.refresh_tenant(tenant)
-            except (PolicyStoreError, ServiceError) as error:
-                return {**reply, "accepted": False, "error": str(error)}
-            return {
-                **reply,
-                "accepted": True,
-                "error": None,
-                "version": store.active_version(tenant),
-                "generation": generation,
-            }
-        if policy_text is None:
+        result = self.administrator.reload(
+            policy_text,
+            actor=_actor(payload),
+            dry_run=_dry_run(payload),
+            tenant=tenant,
+        )
+        if result.refusal == "no-candidate":
             raise ServiceError(
                 f"unknown store tenant {tenant!r} "
                 "(reload without 'policy' refreshes from the store)"
+                if scoped
+                else _NO_POLICY
             )
-        if self.administrator is None:
-            raise ServiceError(_NO_ADMIN)
-        if tenant not in self.pdp.tenants():
-            raise ServiceError(f"unknown tenant {tenant!r}")
-        admin = self._tenant_admins.get(tenant)
-        if admin is None:
-            from repro.policy.admin import PolicyAdministrator
-
-            admin = PolicyAdministrator(
-                _TenantAdminTarget(self.pdp, tenant),
-                fail_on=getattr(self.administrator, "fail_on", "error"),
+        if result.refusal:
+            raise ServiceError(result.error)
+        reply: dict = {"op": "reload"}
+        if scoped:
+            reply["tenant"] = tenant
+        if result.store_backed:
+            reply.update(
+                dry_run=False,
+                accepted=result.accepted,
+                error=result.error or None,
             )
-            self._tenant_admins[tenant] = admin
-        result = admin.reload(policy_text, actor=actor, dry_run=dry_run)
-        return {
-            "op": "reload",
-            "tenant": tenant,
-            "accepted": result.accepted,
-            "dry_run": result.dry_run,
-            "error": result.error,
-            "record": result.record.to_dict(),
-        }
+            if result.accepted:
+                reply.update(
+                    version=result.version, generation=result.generation
+                )
+        else:
+            reply.update(
+                accepted=result.accepted,
+                dry_run=result.dry_run,
+                error=result.error,
+                record=result.record.to_dict(),
+            )
+        return reply
 
     _OPS: Dict[str, Callable[["PDPServer", dict, "_Connection"], dict]] = {
         "ping": _op_ping,
@@ -665,9 +614,7 @@ def _dry_run(payload: dict) -> bool:
 def _policy_text(payload: dict) -> str:
     policy_text = payload.get("policy")
     if not isinstance(policy_text, str) or not policy_text.strip():
-        raise ServiceError(
-            "'policy' must be non-empty policy text (DSL or serialized JSON)"
-        )
+        raise ServiceError(_NO_POLICY)
     return policy_text
 
 
@@ -862,20 +809,3 @@ class _Connection(WireConnection):
         # see it: as the push is queued for this sweep's write.
         self.pdp.record_revocation_latency(time.time() - ts)
         self.write(data)
-
-
-class _TenantAdminTarget:
-    """Adapter exposing one tenant of a PDP as an administrator target
-    (the ``policy`` / ``swap_policy(policy) -> int`` protocol)."""
-
-    def __init__(self, pdp: PolicyDecisionPoint, tenant: str) -> None:
-        self._pdp = pdp
-        self.tenant = tenant
-        self.metrics = pdp.metrics
-
-    @property
-    def policy(self):
-        return self._pdp.tenant_policy(self.tenant)
-
-    def swap_policy(self, policy) -> int:
-        return self._pdp.swap_policy(policy, tenant=self.tenant)

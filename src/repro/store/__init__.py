@@ -1,8 +1,8 @@
 """Versioned multi-tenant policy store (append-only lineage + LRU)."""
 
+from repro.policy.admin import DEFAULT_TENANT
 from repro.store.snapshots import CompiledSnapshotCache
 from repro.store.store import (
-    DEFAULT_TENANT,
     Activation,
     PolicyStore,
     PolicyVersion,

@@ -21,10 +21,11 @@ Model
   numbered 1..N per tenant.  Texts are stored once per content hash
   (``sha256:...``) however many tenants or versions reference them.
 * **Active pointer** — the version decisions are served from.
-  ``activate`` parses the candidate and runs the same
-  lint gate :class:`~repro.policy.admin.PolicyAdministrator` applies
-  to hot reloads (``fail_on`` severity, diff against the previously
-  active version recorded in the log); a candidate that fails the
+  ``activate`` puts the candidate through the one gate
+  :class:`~repro.policy.admin.PolicyAdministrator` puts hot reloads
+  through (:func:`~repro.policy.admin.vet_candidate`: ``fail_on``
+  severity, diff against the previously active version recorded in
+  the log); a candidate that fails the
   gate *cannot* become active.  ``rollback`` moves the pointer to the
   previously active distinct version without re-linting — it was
   gated when it first went live, and the escape hatch must not be
@@ -56,23 +57,19 @@ from repro.core.mediation import MediationEngine
 from repro.core.policy import GrbacPolicy
 from repro.exceptions import GrbacError, PolicyStoreError
 from repro.obs.metrics import MetricsRegistry
-from repro.policy.admin import load_policy_text
-from repro.policy.analysis import PolicyAnalyzer
-from repro.policy.diff import diff_policies
+from repro.policy.admin import (
+    _SEVERITY_RANK,
+    Linted,
+    lint_candidate,
+    load_policy_text,
+    vet_candidate,
+)
 from repro.store.snapshots import CompiledSnapshotCache
-
-#: The tenant single-policy deployments implicitly serve; the PDP maps
-#: its constructor engine to this name so store-less and store-backed
-#: call sites agree on what "no tenant" means.
-DEFAULT_TENANT = "default"
 
 #: Store log filename inside a store directory.
 LOG_FILENAME = "store.jsonl"
 
 _TENANT_NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]{0,63}$")
-
-#: Lint severities, most severe first (shared with policy.admin).
-_SEVERITY_RANK = {"error": 0, "warning": 1, "info": 2}
 
 
 def content_hash(text: str) -> str:
@@ -227,11 +224,12 @@ class PolicyStore:
         self.rollbacks = 0
         self.torn_tail_recovered = 0
         #: Lint results memoized by content hash — text is immutable,
-        #: so findings are too.  Holds ``(findings, parse_error)``;
-        #: one small entry per distinct blob (same bound as
-        #: ``_blobs``), which turns fleet-wide activations of a shared
-        #: template into one parse+lint instead of thousands.
-        self._lint_memo: Dict[str, Tuple[list, Optional[str]]] = {}
+        #: so findings are too.  Holds :func:`lint_candidate`'s result
+        #: with the parsed policy dropped; one small entry per distinct
+        #: blob (same bound as ``_blobs``), which turns fleet-wide
+        #: activations of a shared template into one parse+lint instead
+        #: of thousands.
+        self._lint_memo: Dict[str, Linted] = {}
         #: Byte offset of the last complete line replayed (reader mode).
         self._read_offset = 0
         self._applied_lines = 0
@@ -446,14 +444,6 @@ class PolicyStore:
             self._append({"event": "create", "tenant": name, "actor": actor})
             return lineage
 
-    def ensure_tenant(self, name: str, actor: str = "") -> TenantLineage:
-        """The lineage for ``name``, creating it if absent."""
-        with self._lock:
-            found = self._tenants.get(name)
-            if found is not None:
-                return found
-            return self.create_tenant(name, actor=actor)
-
     # ------------------------------------------------------------------
     # Versions
     # ------------------------------------------------------------------
@@ -545,11 +535,12 @@ class PolicyStore:
     ) -> PolicyVersion:
         """Move the active pointer to ``version`` (default: head).
 
-        The candidate is parsed and linted exactly like a hot-reload
-        candidate (`fail_on` severity gate); the findings and the diff
-        against the previously active version land in the log's
-        activate event.  A candidate that fails the gate raises and
-        the pointer does not move.
+        The candidate goes through the gate every hot reload goes
+        through (:func:`repro.policy.admin.vet_candidate`, under this
+        store's ``fail_on``); the findings and the diff against the
+        previously active version land in the log's activate event.
+        A candidate that fails the gate raises and the pointer does
+        not move.
 
         Lint results are memoized by content hash (immutable text ->
         immutable findings), so a template shared by a thousand
@@ -570,48 +561,27 @@ class PolicyStore:
             entry = lineage.version(version)
             if lineage.active_version == version:
                 return entry  # idempotent: already serving
-            memo = self._lint_memo.get(entry.content_hash)
-            if memo is None:
-                text = self._blobs[entry.content_hash]
-                try:
-                    candidate = load_policy_text(
-                        text, name=f"{tenant}@v{version}"
-                    )
-                except (GrbacError, ValueError, KeyError, TypeError) as error:
-                    memo = ([], f"parse error: {error}")
-                else:
-                    memo = (PolicyAnalyzer(candidate).lint(), None)
-                self._lint_memo[entry.content_hash] = memo
-            findings, parse_error = memo
-            if parse_error is not None:
-                raise PolicyStoreError(
-                    f"cannot activate {tenant!r} v{version}: {parse_error}"
-                )
-            blocking = [
-                f
-                for f in findings
-                if self.fail_on is not None
-                and _SEVERITY_RANK.get(
-                    f.severity, _SEVERITY_RANK[self.fail_on]
-                )
-                <= _SEVERITY_RANK[self.fail_on]
-            ]
-            if blocking:
-                raise PolicyStoreError(
-                    f"cannot activate {tenant!r} v{version}: "
-                    "validation failed: "
-                    + "; ".join(f.describe() for f in blocking)
-                )
-            diff_summary = ""
+            name = f"{tenant}@v{version}"
+            text = self._blobs[entry.content_hash]
+            linted = self._lint_memo.get(entry.content_hash)
+            if linted is None:
+                linted = lint_candidate(text, name)
+                # Findings only: the parsed policy is not retained.
+                self._lint_memo[entry.content_hash] = (None, *linted[1:])
+            live, diff_note = None, ""
             previous = lineage.active_version
-            if previous is not None and previous != version:
+            if previous is not None:
                 try:
-                    diff_summary = diff_policies(
-                        self.policy(tenant, previous),
-                        self.policy(tenant, version),
-                    ).describe()
+                    live = self.policy(tenant, previous)
                 except GrbacError:
-                    diff_summary = "(a version no longer parses)"
+                    diff_note = "(a version no longer parses)"
+            vetted = vet_candidate(
+                text, name, self.fail_on, live=live, linted=linted
+            )
+            if vetted.error:
+                raise PolicyStoreError(
+                    f"cannot activate {tenant!r} v{version}: {vetted.error}"
+                )
             lineage.activations.append(
                 Activation(
                     version=version,
@@ -628,8 +598,8 @@ class PolicyStore:
                     "version": version,
                     "action": "activate",
                     "actor": actor,
-                    "findings": [f.describe() for f in findings],
-                    "diff_summary": diff_summary,
+                    "findings": list(vetted.findings),
+                    "diff_summary": vetted.diff_summary or diff_note,
                 }
             )
             return entry

@@ -204,24 +204,39 @@ def test_precedence_and_default_sign_are_key_components(tv_policy) -> None:
 # ----------------------------------------------------------------------
 # Environment-source coverage (the attach/replace epoch fix)
 # ----------------------------------------------------------------------
+def _change_source(tv_policy, tenant, first, second):
+    """Serve ``tenant`` from an engine whose environment source is
+    ``first``, warm the cache, then put ``second`` in its place.
+
+    ``tenant=None`` is the default tenant; a named one is pinned by
+    ``swap_policy`` (its engine inherits the deployment's source).
+    Returns the ``(initial, warmed, changed)`` responses."""
+    engine = MediationEngine(tv_policy, first)
+    pdp = make_pdp(engine)
+    if tenant is not None:
+        pdp.swap_policy(tv_policy, tenant=tenant)
+        engine = pdp._resolve_tenant(tenant)[0]
+
+    async def scenario():
+        async with pdp:
+            initial = await pdp.submit(REQUEST, tenant=tenant)
+            warmed = await pdp.submit(REQUEST, tenant=tenant)
+            engine.environment = second
+            changed = await pdp.submit(REQUEST, tenant=tenant)
+        return initial, warmed, changed
+
+    return run(scenario())
+
+
 def test_attaching_environment_source_is_decision_visible(tv_policy) -> None:
     """No source → cached DENY; attach one mid-flight → fresh GRANT.
 
     Before the epoch fix the environment part of the key was resolved
     once at construction, so the attach changed decisions without
     changing keys."""
-    engine = MediationEngine(tv_policy)
-    pdp = make_pdp(engine)
-
-    async def scenario():
-        async with pdp:
-            bare = await pdp.submit(REQUEST)
-            warmed = await pdp.submit(REQUEST)
-            engine.environment = RevisionedEnvironment({"free-time"})
-            attached = await pdp.submit(REQUEST)
-        return bare, warmed, attached
-
-    bare, warmed, attached = run(scenario())
+    bare, warmed, attached = _change_source(
+        tv_policy, None, None, RevisionedEnvironment({"free-time"})
+    )
     assert bare.granted is False  # free-time not active
     assert warmed.cached is True
     assert attached.cached is False
@@ -233,24 +248,45 @@ def test_replacing_source_with_equal_revision_cannot_serve_stale(
 ) -> None:
     """Two sources with the *same* revision number: the identity epoch
     keeps their keys disjoint."""
-    engine = MediationEngine(
-        tv_policy, RevisionedEnvironment({"free-time"}, revision=5)
+    granted, warmed, replaced = _change_source(
+        tv_policy,
+        None,
+        RevisionedEnvironment({"free-time"}, revision=5),
+        RevisionedEnvironment(set(), revision=5),
     )
-    pdp = make_pdp(engine)
-
-    async def scenario():
-        async with pdp:
-            granted = await pdp.submit(REQUEST)
-            warmed = await pdp.submit(REQUEST)
-            engine.environment = RevisionedEnvironment(set(), revision=5)
-            replaced = await pdp.submit(REQUEST)
-        return granted, warmed, replaced
-
-    granted, warmed, replaced = run(scenario())
     assert granted.granted is True
     assert warmed.cached is True
     assert replaced.cached is False
     assert replaced.granted is False
+
+
+@pytest.mark.parametrize(
+    "tenant,first,second",
+    [
+        ("pinned", None, RevisionedEnvironment({"free-time"})),
+        (
+            "pinned",
+            RevisionedEnvironment({"free-time"}, revision=5),
+            RevisionedEnvironment(set(), revision=5),
+        ),
+        (None, RevisionedEnvironment({"free-time"}), None),
+        ("pinned", RevisionedEnvironment({"free-time"}), None),
+    ],
+    ids=["attach-pinned", "replace-pinned", "detach-default", "detach-pinned"],
+)
+def test_source_identity_is_tracked_for_every_tenant(
+    tv_policy, tenant, first, second
+) -> None:
+    """The same regressions for a pinned tenant — whose key had no
+    identity epoch, so an equal-revision replacement served stale —
+    and detaching the source, for both."""
+    initial, warmed, changed = _change_source(tv_policy, tenant, first, second)
+    assert initial.granted is (first is not None)
+    assert warmed.cached is True
+    assert changed.cached is False
+    assert changed.granted is (
+        second is not None and "free-time" in second.active_environment_roles()
+    )
 
 
 def test_source_revision_change_is_decision_visible(tv_policy) -> None:
