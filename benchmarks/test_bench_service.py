@@ -127,7 +127,6 @@ def measure(policy, stream, expected, loadgen_config, *, max_batch, cache_size):
             engine,
             PDPConfig(
                 max_batch=max_batch,
-                max_wait_ms=0.5,
                 max_queue=4096,
                 cache_size=cache_size,
             ),
@@ -166,8 +165,7 @@ def measure_wire(policy, stream, expected, loadgen_config, *, wire):
         pdp = PolicyDecisionPoint(
             engine,
             PDPConfig(
-                max_batch=64, max_wait_ms=0.5, max_queue=4096,
-                cache_size=4096,
+                max_batch=64, max_queue=4096, cache_size=4096,
             ),
         )
         async with PDPServer(pdp, host="127.0.0.1", port=0) as server:
@@ -456,7 +454,7 @@ def test_bench_service(benchmark, report):
         async def pass_once():
             engine = MediationEngine(policy)
             pdp = PolicyDecisionPoint(
-                engine, PDPConfig(max_batch=64, max_wait_ms=0.5)
+                engine, PDPConfig(max_batch=64)
             )
             async with pdp:
                 await run_loadgen(

@@ -140,8 +140,7 @@ def measure(policy, stream, expected, loadgen_config, *, store):
         pdp = PolicyDecisionPoint(
             engine,
             PDPConfig(
-                max_batch=64, max_wait_ms=0.5, max_queue=4096,
-                cache_size=4096,
+                max_batch=64, max_queue=4096, cache_size=4096,
             ),
             store=store,
         )

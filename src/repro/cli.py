@@ -227,7 +227,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         engine = MediationEngine(policy, confidence_threshold=args.threshold)
     config = PDPConfig(
         max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
         max_queue=args.max_queue,
         cache_size=args.cache_size,
         default_timeout_s=(
@@ -646,7 +645,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             engine,
             PDPConfig(
                 max_batch=1 if args.unbatched else args.max_batch,
-                max_wait_ms=args.max_wait_ms,
                 cache_size=0 if args.no_cache else args.cache_size,
             ),
         )
@@ -1397,12 +1395,6 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=64,
             help="micro-batch flush size (default 64)",
-        )
-        sub.add_argument(
-            "--max-wait-ms",
-            type=float,
-            default=1.0,
-            help="micro-batch flush deadline in ms (default 1.0)",
         )
         sub.add_argument(
             "--cache-size",

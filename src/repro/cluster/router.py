@@ -424,8 +424,6 @@ class ShardRouter:
         *router originates* on requests that arrive without a trace
         context.  Requests that already carry one keep their origin's
         sampled flag — the router never re-rolls.
-    :param trace_buffer: retained traces in the router's own span
-        buffer (0 disables router span recording entirely).
     """
 
     def __init__(
@@ -440,19 +438,15 @@ class ShardRouter:
             Callable[[dict], Awaitable[dict]]
         ] = None,
         trace_sample_rate: float = 0.0,
-        trace_buffer: int = 256,
     ) -> None:
         if not 0.0 <= trace_sample_rate <= 1.0:
             raise ServiceError("trace_sample_rate must be in [0, 1]")
-        if trace_buffer < 0:
-            raise ServiceError("trace_buffer must be >= 0")
         self.host = host
         self.reload_handler = reload_handler
         self.sampler = TraceSampler(trace_sample_rate)
         self.trace_sample_rate = trace_sample_rate
-        self.spans: Optional[SpanCollector] = (
-            SpanCollector(trace_buffer) if trace_buffer > 0 else None
-        )
+        #: The router's own retained spans (``router.route``).
+        self.spans = SpanCollector()
         self._requested_port = port
         self._server: Optional[asyncio.AbstractServer] = None
         self._workers: Dict[str, Tuple[str, int]] = dict(workers or {})
@@ -682,14 +676,11 @@ class ShardRouter:
         outcome: str,
     ) -> None:
         """Emit the router's own span for one completed route."""
-        spans = self.spans
-        if spans is None:
-            return
         ctx = pending["ctx"]
         assert isinstance(ctx, TraceContext)
         breaker = self._breakers.get(worker)
         start = pending.get("start")
-        spans.add(
+        self.spans.add(
             Span(
                 trace_id=ctx.trace_id,
                 span_id=ctx.span_id,
@@ -842,18 +833,14 @@ class ShardRouter:
     # ------------------------------------------------------------------
     def find_trace(self, trace_id: str) -> "list[Dict[str, object]]":
         """The router's retained spans for ``trace_id`` (maybe [])."""
-        if self.spans is None:
-            return []
         return self.spans.get(trace_id)
 
     def recent_traces(self, limit: Optional[int] = None) -> "list[str]":
         """Retained trace ids, newest first."""
-        if self.spans is None:
-            return []
         return self.spans.trace_ids(limit)
 
     def stats(self) -> Dict[str, object]:
-        data: Dict[str, object] = {
+        return {
             "workers": {
                 name: {
                     "address": list(self._workers[name]),
@@ -869,10 +856,8 @@ class ShardRouter:
             "unavailable_synthesized": self.unavailable_synthesized,
             "trace_sample_rate": self.trace_sample_rate,
             "traces_sampled": self.sampler.sampled,
+            "trace_buffer": self.spans.stats(),
         }
-        if self.spans is not None:
-            data["trace_buffer"] = self.spans.stats()
-        return data
 
 
 # ----------------------------------------------------------------------

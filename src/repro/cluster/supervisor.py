@@ -113,7 +113,6 @@ class ClusterSupervisor:
         worker_args: Sequence[str] = (),
         python: Optional[str] = None,
         trace_sample_rate: float = 0.0,
-        trace_buffer: int = 256,
         audit_dir: Optional[str] = None,
     ) -> None:
         if policy_path is None and store_dir is None:
@@ -147,7 +146,6 @@ class ClusterSupervisor:
             vnodes=vnodes,
             reload_handler=self._wire_reload,
             trace_sample_rate=trace_sample_rate,
-            trace_buffer=trace_buffer,
         )
         self._workers: Dict[str, WorkerHandle] = {
             f"w{i}": WorkerHandle(f"w{i}") for i in range(workers)

@@ -6,31 +6,33 @@ concurrent traffic*.  :class:`PolicyDecisionPoint` is the serving
 layer between the compiled engine's ``decide_batch`` fast path (PR 1)
 and live callers:
 
-* **bounded admission queue** — requests wait in an
-  :class:`asyncio.Queue` of configurable depth; when it is full the
-  request is *shed immediately* with the explicit
+* **bounded admission** — admitted requests wait in a plain pending
+  list of at most ``max_queue`` entries; when it is full the request
+  is *shed immediately* with the explicit
   :attr:`PDPOutcome.DENY_OVERLOAD` outcome.  Overload never produces
   an unbounded wait and never a spurious grant.
-* **micro-batching** — a single consumer task drains the queue into
-  batches, flushing at ``max_batch``, after ``max_wait_ms``, or as
-  soon as the queue goes idle after a scheduling pass (whichever
-  comes first), and renders the whole batch through one
-  :meth:`MediationEngine.decide_batch` call, amortizing snapshot
-  lookups and expansion memos across concurrent callers.  Batch size
-  therefore self-regulates with load: light traffic flushes
-  singletons immediately, heavy traffic fills real batches.
+* **micro-batching** — the admission that finds the list empty starts
+  one drain task, which lives only while there is work: it yields one
+  scheduling pass before a partial batch (so every producer that is
+  already runnable joins it), then hands at most ``max_batch`` entries
+  at a time to one :meth:`MediationEngine.decide_batch` call,
+  amortizing snapshot lookups and expansion memos across concurrent
+  callers, until the list is empty.  Batch size therefore
+  self-regulates with load: light traffic flushes singletons
+  immediately, heavy traffic fills real batches.
 * **revision-keyed caching** — answers are cached keyed on
   ``(policy.decision_revision, environment revision, request)``; any
   policy mutation or environment transition moves a revision counter
   and the stale entry stops matching (see
   :mod:`repro.service.cache`).  Hits resolve synchronously at submit
-  time without ever touching the queue.
+  time without ever touching the pending list.
 * **deadlines** — a request may carry a timeout; if it is still
   queued when its deadline passes it resolves to
   :attr:`PDPOutcome.DENY_TIMEOUT` instead of occupying a batch slot.
 * **graceful drain** — :meth:`stop` (default) decides everything
   already admitted before shutting down, so an accepted request is
-  never silently dropped.
+  never silently dropped; ``stop(drain=False)`` sheds the pending list
+  instead and waits only for the batch in flight.
 * **hot-reload** — :meth:`swap_policy` atomically replaces the served
   policy without a restart: in-flight micro-batches complete against
   the engine they started with, subsequent batches see only the new
@@ -44,7 +46,7 @@ and live callers:
 The PDP is deliberately sessionless: callers that need §4.1.2 session
 semantics hold a :class:`~repro.core.activation.Session` and talk to
 the engine directly.  Decisions themselves are synchronous CPU work;
-the consumer runs them on the event loop in batches small enough to
+the drain task runs them on the event loop in batches small enough to
 bound added latency (override :meth:`_decide` to offload).
 """
 
@@ -166,11 +168,8 @@ class PDPConfig:
 
     #: Flush a batch at this size.
     max_batch: int = 64
-    #: Upper bound on gathering: flush once the head of the batch has
-    #: waited this long.  (An idle queue flushes sooner — see _run.)
-    max_wait_ms: float = 1.0
-    #: Admission bound: queued (not yet decided) request limit.  A
-    #: submit finding the queue full is shed with DENY_OVERLOAD.
+    #: Admission bound: pending (not yet decided) request limit.  A
+    #: submit finding the pending list full is shed with DENY_OVERLOAD.
     max_queue: int = 1024
     #: Revision-keyed decision cache capacity (0 disables).
     cache_size: int = 4096
@@ -182,20 +181,10 @@ class PDPConfig:
     trace_sample_rate: float = 0.0
     #: Flight-recorder ring capacity (0 disables the recorder).
     flight_capacity: int = 512
-    #: Retained distributed traces for the ``trace`` op (0 disables
-    #: the in-memory span buffer; sink export is unaffected).
-    trace_buffer: int = 256
-    #: Tenants given their own ``tenant="..."`` label on the exported
-    #: per-tenant series; everything past the top K folds into the
-    #: ``__other__`` bucket so exposition cardinality stays bounded no
-    #: matter how many tenants a PDP has served.
-    tenant_label_topk: int = 8
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ServiceError("max_batch must be >= 1")
-        if self.max_wait_ms < 0:
-            raise ServiceError("max_wait_ms must be >= 0")
         if self.max_queue < 1:
             raise ServiceError("max_queue must be >= 1")
         if self.cache_size < 0:
@@ -206,10 +195,13 @@ class PDPConfig:
             raise ServiceError("trace_sample_rate must be in [0, 1]")
         if self.flight_capacity < 0:
             raise ServiceError("flight_capacity must be >= 0")
-        if self.trace_buffer < 0:
-            raise ServiceError("trace_buffer must be >= 0")
-        if self.tenant_label_topk < 0:
-            raise ServiceError("tenant_label_topk must be >= 0")
+
+
+#: Tenants given their own ``tenant="..."`` label on the exported
+#: per-tenant series; everything past the top K folds into the
+#: ``__other__`` bucket so exposition cardinality stays bounded no
+#: matter how many tenants a PDP has served.
+TENANT_LABEL_TOPK = 8
 
 
 @dataclass
@@ -234,7 +226,7 @@ class _Pending:
     #: untraced traffic.
     trace_ctx: Optional[TraceContext] = None
     #: How the answer is delivered; ``submit_nowait`` attaches it
-    #: before the loop can run the batcher.
+    #: before the loop can run the drain task.
     callback: Optional[Callable[[PDPResponse], None]] = None
 
     @property
@@ -489,9 +481,6 @@ class SessionGrantTable:
         return list(self._sessions.get(session_id, {}).values())
 
 
-_STOP = object()  # queue sentinel; see stop()
-
-
 class PolicyDecisionPoint:
     """An asyncio decision service over one :class:`MediationEngine`.
 
@@ -552,10 +541,13 @@ class PolicyDecisionPoint:
         self._tenants: Dict[str, _TenantState] = {
             DEFAULT_TENANT: self._default
         }
-        self._queue: Optional["asyncio.Queue[object]"] = None
-        self._batcher: Optional["asyncio.Task[None]"] = None
+        #: Admitted, not yet batched requests, oldest first.  Never
+        #: rebound: the drain task holds this very list, so a shed
+        #: empties it in place.
+        self._pending: List[_Pending] = []
+        #: The drain task; set only while there is work.
+        self._drainer: Optional["asyncio.Task[None]"] = None
         self._accepting = False
-        self._drain_on_stop = True
         self._started_at: Optional[float] = None
         # Live-ops surfaces (PR 4): sampled trace export, the always-on
         # flight recorder, and rolling SLO objectives.
@@ -570,11 +562,7 @@ class PolicyDecisionPoint:
         #: Bounded buffer of this process's distributed-trace spans,
         #: keyed by trace id — what the ``trace`` wire op and the
         #: cluster admin's cross-process join read from.
-        self.spans: Optional[SpanCollector] = (
-            SpanCollector(self.config.trace_buffer)
-            if self.config.trace_buffer > 0
-            else None
-        )
+        self.spans = SpanCollector()
         #: Optional hash-chained audit stream: every *mediated*
         #: response (GRANT/DENY — service refusals mediate nothing)
         #: appends one tamper-evident record.  See
@@ -640,11 +628,9 @@ class PolicyDecisionPoint:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> "PolicyDecisionPoint":
-        """Start the batcher; idempotent."""
-        if self._batcher is not None and not self._batcher.done():
+        """Open admission; idempotent.  No task runs until work does."""
+        if self._accepting:
             return self
-        self._queue = asyncio.Queue(maxsize=self.config.max_queue)
-        self._batcher = asyncio.get_running_loop().create_task(self._run())
         self._accepting = True
         self._started_at = time.monotonic()
         hub = self.observers
@@ -654,20 +640,23 @@ class PolicyDecisionPoint:
         return self
 
     async def stop(self, drain: bool = True) -> None:
-        """Stop accepting and shut the batcher down.
+        """Close admission and wait for the drain task.
 
         With ``drain=True`` (graceful, the default) every already-
-        admitted request is decided before the task exits; with
-        ``drain=False`` queued requests are shed with DENY_OVERLOAD.
+        admitted request is decided first; with ``drain=False`` the
+        pending list is shed with DENY_OVERLOAD and only the batch in
+        flight completes.
         """
-        if self._batcher is None:
+        if not self.running:
             return
         self._accepting = False
-        self._drain_on_stop = drain
-        assert self._queue is not None
-        await self._queue.put(_STOP)
-        await self._batcher
-        self._batcher = None
+        if not drain:
+            shed = self._pending[:]
+            self._pending.clear()  # in place: the drain task holds it
+            for item in shed:
+                self._shed(item, "service shutting down")
+        if self._drainer is not None:
+            await self._drainer
         hub = self.observers
         if hub:
             hub.emit("pdp.stop", drained=drain)
@@ -680,15 +669,16 @@ class PolicyDecisionPoint:
 
     @property
     def running(self) -> bool:
-        return self._batcher is not None and not self._batcher.done()
+        """Started, and not yet stopped with its work finished."""
+        return self._accepting or self._drainer is not None
 
     @property
     def queue_depth(self) -> int:
-        return self._queue.qsize() if self._queue is not None else 0
+        return len(self._pending)
 
     @property
     def uptime_s(self) -> float:
-        """Seconds since the batcher (last) started; 0 when never."""
+        """Seconds since the last :meth:`start`; 0 when never."""
         if self._started_at is None:
             return 0.0
         return time.monotonic() - self._started_at
@@ -1073,11 +1063,11 @@ class PolicyDecisionPoint:
         """The synchronous half of submission.
 
         Returns the finished response when the request never needs the
-        batcher (unknown tenant, cache hit, full queue), else the
-        queued :class:`_Pending` — the caller attaches a future or a
-        callback to it before the loop can run the batcher.
+        drain task (unknown tenant, cache hit, full pending list), else
+        the pending :class:`_Pending` — the caller attaches a callback
+        to it before the loop can run the drain task.
         """
-        if not self._accepting or self._queue is None:
+        if not self._accepting:
             raise ServiceError("PDP is not running (call start())")
         self._m_requests.inc()
         submitted = time.perf_counter()
@@ -1085,7 +1075,7 @@ class PolicyDecisionPoint:
         resolved = self._resolve_tenant(tenant_name)
         if resolved is None:
             self._m_unknown_tenant.inc()
-            response = self._refuse(
+            return self._refuse(
                 _Pending(
                     request,
                     env_override=None,
@@ -1098,8 +1088,6 @@ class PolicyDecisionPoint:
                 PDPOutcome.DENY_UNKNOWN_TENANT,
                 f"unknown tenant {tenant_name!r}",
             )
-            self._h_latency.observe(response.latency_s)
-            return response
         engine, generation, state = resolved
         state.requests += 1
         override = (
@@ -1112,13 +1100,9 @@ class PolicyDecisionPoint:
         # sampled request originates its own context so every traced
         # decision carries a joinable trace id.
         if trace_ctx is not None:
-            traced = trace_ctx.sampled and (
-                self.trace_sink is not None or self.spans is not None
-            )
+            traced = trace_ctx.sampled
         else:
-            traced = (
-                self.trace_sink is not None or self.spans is not None
-            ) and self.sampler.should_sample()
+            traced = self.sampler.should_sample()
             if traced:
                 trace_ctx = TraceContext.origin()
 
@@ -1136,21 +1120,27 @@ class PolicyDecisionPoint:
             self._m_cache_hits.inc()
             state.cache_hits += 1
             outcome = PDPOutcome.GRANT if cached.granted else PDPOutcome.DENY
-            latency = time.perf_counter() - submitted
-            self._h_latency.observe(latency)
             response = PDPResponse(
                 request=request,
                 outcome=outcome,
                 granted=cached.granted,
                 decision=cached,
                 cached=True,
-                latency_s=latency,
+                latency_s=time.perf_counter() - submitted,
                 request_id=request_id,
                 tenant=tenant_name,
                 trace_id=trace_ctx.trace_id if trace_ctx is not None else "",
             )
             if traced:
-                self._export_cached_trace(cached, request_id, trace_ctx)
+                # A cache hit has no live stages to time, but the
+                # sampled stream must still carry it — otherwise warm
+                # caches would make traces vanish exactly when
+                # correlation questions get asked.
+                trace = cached.reconstruct_trace()
+                trace.mode = "cached"
+                self._export_trace(
+                    trace, request, request_id, tenant_name, trace_ctx, None
+                )
             self._observe_response(response)
             return response
         if key is None:
@@ -1176,75 +1166,43 @@ class PolicyDecisionPoint:
             tenant=tenant_name,
             trace_ctx=trace_ctx,
         )
-        self._h_queue.observe(float(self._queue.qsize()))
-        try:
-            self._queue.put_nowait(pending)
-        except asyncio.QueueFull:
+        depth = len(self._pending)
+        self._h_queue.observe(float(depth))
+        if depth >= self.config.max_queue:
             return self._shed(pending, "admission queue full")
+        self._pending.append(pending)
+        if self._drainer is None:
+            self._drainer = asyncio.get_running_loop().create_task(
+                self._drain()
+            )
         return pending
 
     # ------------------------------------------------------------------
     # Batching internals
     # ------------------------------------------------------------------
-    async def _run(self) -> None:
-        assert self._queue is not None
-        queue = self._queue
-        loop = asyncio.get_running_loop()
+    async def _drain(self) -> None:
+        """Decide the pending list in batches until it is empty, then end.
+
+        Before a partial batch it yields one scheduling pass
+        (``asyncio.sleep(0)``) so every producer that is already
+        runnable joins it; waiting any longer could only collect
+        requests that do not exist yet, which trades real latency for
+        hypothetical batch fill (and stalls closed-loop callers blocked
+        on this very flush).
+        """
+        pending = self._pending
         max_batch = self.config.max_batch
-        max_wait_s = self.config.max_wait_ms / 1000.0
-        stopping = False
-        while not stopping:
-            head = await queue.get()
-            if head is _STOP:
-                break
-            batch: List[_Pending] = [head]  # type: ignore[list-item]
-            if max_batch > 1:
-                # Gather until max_batch, the deadline, or the queue
-                # going momentarily idle — whichever comes first.  The
-                # idle check only fires after one scheduling pass
-                # (asyncio.sleep(0)) so every producer that is already
-                # runnable gets to enqueue; waiting any longer could
-                # only collect requests that do not exist yet, which
-                # trades real latency for hypothetical batch fill (and
-                # deadlocks throughput for closed-loop callers blocked
-                # on this very flush).
-                flush_at = loop.time() + max_wait_s
-                while len(batch) < max_batch:
-                    try:
-                        item = queue.get_nowait()
-                    except asyncio.QueueEmpty:
-                        if loop.time() >= flush_at:
-                            break
-                        await asyncio.sleep(0)
-                        try:
-                            item = queue.get_nowait()
-                        except asyncio.QueueEmpty:
-                            break  # idle after a yield: flush now
-                    if item is _STOP:
-                        stopping = True
-                        break
-                    batch.append(item)  # type: ignore[arg-type]
-            await self._flush(batch)
-            if not self._accepting and not self._drain_on_stop:
-                # Non-graceful stop: shed the backlog instead of
-                # deciding it (the _STOP sentinel is FIFO-last, so
-                # waiting for it would drain the queue anyway).
-                break
-        # Shutdown: decide (drain) or shed whatever is still queued.
-        leftovers: List[_Pending] = []
-        while True:
-            try:
-                item = queue.get_nowait()
-            except asyncio.QueueEmpty:
-                break
-            if item is not _STOP:
-                leftovers.append(item)  # type: ignore[arg-type]
-        if self._drain_on_stop:
-            for start in range(0, len(leftovers), max_batch):
-                await self._flush(leftovers[start : start + max_batch])
-        else:
-            for item in leftovers:
-                self._shed(item, "service shutting down")
+        try:
+            while True:
+                if len(pending) < max_batch:
+                    await asyncio.sleep(0)
+                    if not pending:
+                        return
+                batch = pending[:max_batch]
+                del pending[:max_batch]
+                await self._flush(batch)
+        finally:
+            self._drainer = None
 
     async def _flush(self, batch: Sequence[_Pending]) -> None:
         """Triage one micro-batch and decide it, grouped by tenant.
@@ -1346,8 +1304,6 @@ class PolicyDecisionPoint:
                     ),
                     decision,
                 )
-            latency = time.perf_counter() - item.submitted_at
-            self._h_latency.observe(latency)
             self._finish(
                 item,
                 PDPResponse(
@@ -1356,7 +1312,7 @@ class PolicyDecisionPoint:
                     granted=decision.granted,
                     decision=decision,
                     batch_size=size,
-                    latency_s=latency,
+                    latency_s=time.perf_counter() - item.submitted_at,
                     request_id=item.request_id,
                     tenant=tenant,
                     trace_id=item.trace_id,
@@ -1372,107 +1328,62 @@ class PolicyDecisionPoint:
         decision = engine.decide(
             item.request, environment_roles=env, trace=True
         )
-        duration = time.perf_counter() - started
-        trace = decision.trace
-        if trace is not None:
-            trace.request_id = item.request_id
-            ctx = item.trace_ctx
-            if ctx is not None:
-                # This hop's span: the propagated span id becomes the
-                # parent, a fresh id names the PDP's own work.
-                trace.trace_id = ctx.trace_id
-                trace.span_id = new_span_id()
-                trace.parent_span_id = ctx.span_id
-                self._collect_span(
-                    trace, item, duration_s=duration, cached=False
-                )
-            sink = self.trace_sink
-            if sink is not None:
-                sink.offer(trace_to_dict(trace))
+        self._export_trace(
+            decision.trace,
+            item.request,
+            item.request_id,
+            item.tenant,
+            item.trace_ctx,
+            time.perf_counter() - started,
+        )
         return decision
 
-    def _collect_span(
+    def _export_trace(
         self,
         trace: DecisionTrace,
-        item: _Pending,
+        request: AccessRequest,
+        request_id: Optional[object],
+        tenant: str,
+        ctx: TraceContext,
         duration_s: Optional[float],
-        cached: bool,
     ) -> None:
-        """Retain this hop's span in the bounded collector, so the
-        ``trace`` op (and the cluster admin's cross-process join) can
-        serve it later."""
-        spans = self.spans
-        if spans is None or not trace.trace_id:
-            return
-        spans.add(
+        """Export one sampled answer: decided (``duration_s`` timed) or
+        a cache hit (``None``).
+
+        This hop's span — the propagated span id becomes its parent, a
+        fresh id names the PDP's own work — is retained in the bounded
+        collector, so the ``trace`` op (and the cluster admin's
+        cross-process join) can serve it later; the whole trace goes to
+        the sink when one is attached.
+        """
+        cached = duration_s is None
+        trace.request_id = request_id
+        trace.trace_id = ctx.trace_id
+        trace.span_id = new_span_id()
+        trace.parent_span_id = ctx.span_id
+        self.spans.add(
             Span(
                 trace_id=trace.trace_id,
                 span_id=trace.span_id,
                 parent_span_id=trace.parent_span_id,
-                name="pdp.decide",
+                name="pdp.cache_hit" if cached else "pdp.decide",
                 service="pdp",
-                start_s=(
-                    time.time() - duration_s
-                    if duration_s is not None
-                    else time.time()
-                ),
+                start_s=time.time() - (duration_s or 0.0),
                 duration_s=duration_s,
                 annotations={
-                    "subject": item.request.subject,
-                    "transaction": item.request.transaction,
-                    "object": item.request.obj,
+                    "subject": request.subject,
+                    "transaction": request.transaction,
+                    "object": request.obj,
                     "granted": trace.granted,
                     "cached": cached,
-                    "tenant": item.tenant,
-                    "request_id": item.request_id,
+                    "tenant": tenant,
+                    "request_id": request_id,
                     "mode": trace.mode,
                     "stage_timings_us": trace.stage_timings_us(),
                 },
             ).to_dict()
         )
-
-    def _export_cached_trace(
-        self,
-        decision: Decision,
-        request_id: Optional[object],
-        trace_ctx: Optional[TraceContext] = None,
-    ) -> None:
-        """Export a timing-less span for a sampled cache hit.
-
-        A cache hit has no live stages to time, but the sampled stream
-        must still carry it — otherwise warm caches would make traces
-        vanish exactly when correlation questions get asked.
-        """
         sink = self.trace_sink
-        spans = self.spans
-        if sink is None and (spans is None or trace_ctx is None):
-            return
-        trace = decision.reconstruct_trace()
-        trace.mode = "cached"
-        trace.request_id = request_id
-        if trace_ctx is not None:
-            trace.trace_id = trace_ctx.trace_id
-            trace.span_id = new_span_id()
-            trace.parent_span_id = trace_ctx.span_id
-            if spans is not None:
-                spans.add(
-                    Span(
-                        trace_id=trace.trace_id,
-                        span_id=trace.span_id,
-                        parent_span_id=trace.parent_span_id,
-                        name="pdp.cache_hit",
-                        service="pdp",
-                        start_s=time.time(),
-                        annotations={
-                            "subject": decision.request.subject,
-                            "transaction": decision.request.transaction,
-                            "object": decision.request.obj,
-                            "granted": decision.granted,
-                            "cached": True,
-                            "request_id": request_id,
-                        },
-                    ).to_dict()
-                )
         if sink is not None:
             sink.offer(trace_to_dict(trace))
 
@@ -1541,9 +1452,11 @@ class PolicyDecisionPoint:
                 self._m_errors.inc()
 
     def _observe_response(self, response: PDPResponse) -> None:
-        """Feed the flight recorder, SLO tracker, per-tenant latency
-        tallies, and the audit chain — every response, every path
-        (cache hit, batch, shed, timeout, error)."""
+        """Feed ``pdp.latency``, the flight recorder, SLO tracker,
+        per-tenant latency tallies, and the audit chain — every
+        response, every path (cache hit, batch, shed, timeout, unknown
+        tenant, error)."""
+        self._h_latency.observe(response.latency_s)
         self.slo.record_response(
             mediated=response.outcome in MEDIATED_OUTCOMES,
             latency_s=response.latency_s,
@@ -1715,7 +1628,6 @@ class PolicyDecisionPoint:
             "queue_depth": self.queue_depth,
             "max_queue": self.config.max_queue,
             "max_batch": self.config.max_batch,
-            "max_wait_ms": self.config.max_wait_ms,
             "requests": self._m_requests.value,
             "decided": self._m_decided.value,
             "batches": self._m_batches.value,
@@ -1734,14 +1646,13 @@ class PolicyDecisionPoint:
             "cache": self.cache.stats(),
             "trace_sample_rate": self.config.trace_sample_rate,
             "traces_sampled": self.sampler.sampled,
+            "tenants": self.tenants_overview(),
         }
-        data["tenants"] = self.tenants_overview()
         if self.store is not None:
             data["store"] = self.store.stats()
         if self.trace_sink is not None:
             data["trace_sink"] = self.trace_sink.stats()
-        if self.spans is not None:
-            data["trace_buffer"] = self.spans.stats()
+        data["trace_buffer"] = self.spans.stats()
         if self.audit_writer is not None:
             data["audit"] = self.audit_writer.stats()
         if self.flight is not None:
@@ -1776,11 +1687,10 @@ class PolicyDecisionPoint:
         if not states:
             return []
         states.sort(key=lambda s: (-s.requests, s.name))
-        top_k = self.config.tenant_label_topk
         rows: List[Tuple[str, _TenantState]] = [
-            (state.name, state) for state in states[:top_k]
+            (state.name, state) for state in states[:TENANT_LABEL_TOPK]
         ]
-        overflow = states[top_k:]
+        overflow = states[TENANT_LABEL_TOPK:]
         if overflow:
             other = _TenantState(name="__other__")
             for state in overflow:
@@ -1869,14 +1779,10 @@ class PolicyDecisionPoint:
         Only spans this PDP emitted — the cluster admin joins these
         with the router's own spans for the cross-process waterfall.
         """
-        if self.spans is None:
-            return []
         return self.spans.get(trace_id)
 
     def recent_traces(self, limit: Optional[int] = None) -> List[str]:
-        """Retained trace ids, newest first; [] when buffering is off."""
-        if self.spans is None:
-            return []
+        """Retained trace ids, newest first."""
         return self.spans.trace_ids(limit)
 
 

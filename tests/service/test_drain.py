@@ -24,6 +24,8 @@ from repro.service import (
     RemotePDPClient,
 )
 
+from tests.service.test_slow_consumer import eventually, gate_batcher
+
 REQUEST = AccessRequest("watch", "livingroom/tv", subject="alice")
 
 
@@ -71,25 +73,37 @@ def test_inflight_request_answered_during_drain(tv_policy) -> None:
     """A request admitted before shutdown gets its answer, not a cut."""
 
     async def scenario():
-        # A long gather window forces queueing so the request is in
-        # flight when the shutdown lands.
-        server = make_server(tv_policy, max_batch=64, max_wait_ms=20.0)
+        server = make_server(tv_policy)
+        pdp = server.pdp
+        # Park the batch inside _decide, so the request is provably in
+        # flight — admitted, out of the pending list, unanswered — when
+        # the shutdown lands.
+        release = gate_batcher(pdp)
         await server.start()
         serving = asyncio.get_running_loop().create_task(
             server.serve_forever()
         )
-        client = await RemotePDPClient.connect("127.0.0.1", server.port)
-        pending = asyncio.get_running_loop().create_task(
-            client.decide(REQUEST, environment_roles={"free-time"})
-        )
-        await asyncio.sleep(0.002)  # let the request hit the queue
-        server.request_shutdown()
-        response = await asyncio.wait_for(pending, timeout=10.0)
-        await client.close()
-        await asyncio.wait_for(serving, timeout=10.0)
-        return response
+        try:
+            client = await RemotePDPClient.connect("127.0.0.1", server.port)
+            pending = asyncio.get_running_loop().create_task(
+                client.decide(REQUEST, environment_roles={"free-time"})
+            )
+            await eventually(
+                lambda: pdp.stats()["requests"] == 1 and not pdp.queue_depth
+            )
+            server.request_shutdown()
+            await asyncio.sleep(0.02)
+            in_flight = not pending.done() and not serving.done()
+            release.set()
+            response = await asyncio.wait_for(pending, timeout=10.0)
+            await client.close()
+            await asyncio.wait_for(serving, timeout=10.0)
+        finally:
+            release.set()
+        return in_flight, response
 
-    response = asyncio.run(scenario())
+    in_flight, response = asyncio.run(scenario())
+    assert in_flight  # the drain waited for the parked batch
     assert response.granted is True
 
 

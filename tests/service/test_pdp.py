@@ -61,7 +61,7 @@ def test_generated_workload_matches_engine(tv_policy) -> None:
         ).granted
         for item in stream
     ]
-    pdp = make_pdp(tv_policy, max_batch=16, max_wait_ms=0.5)
+    pdp = make_pdp(tv_policy, max_batch=16)
 
     async def scenario():
         async with pdp:
@@ -102,7 +102,7 @@ def test_concurrent_submits_coalesce_into_batches(tv_policy) -> None:
 
 
 def test_sequential_submits_are_singleton_batches(tv_policy) -> None:
-    pdp = make_pdp(tv_policy, cache_size=0, max_wait_ms=0.0)
+    pdp = make_pdp(tv_policy, cache_size=0)
     request = AccessRequest("watch", "livingroom/tv", subject="alice")
 
     async def scenario():

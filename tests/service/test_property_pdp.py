@@ -93,7 +93,7 @@ def test_pdp_always_agrees_with_direct_mediation(ops) -> None:
     engine = MediationEngine(policy, environment)
     pdp = PolicyDecisionPoint(
         engine,
-        PDPConfig(max_batch=8, max_wait_ms=0.2, cache_size=64),
+        PDPConfig(max_batch=8, cache_size=64),
         env_revision=lambda: revision["n"],
     )
 
