@@ -11,10 +11,12 @@ cares about:
 * **latency** — the fraction of requests answered within a latency
   threshold.
 
-Each objective keeps a rolling window (bucketed ring — O(1) memory,
-O(buckets) reads) plus lifetime totals, and derives the standard
-**burn rate**: observed error fraction divided by the error budget
-``1 - target``.  Burn rate 1.0 means the budget is being spent
+Both objectives count into one rolling window (a bucketed ring of
+three counters per bucket — total, mediated, fast — O(1) memory,
+O(buckets) reads) plus lifetime totals, so recording a response reads
+the clock once and finds one bucket.  Each objective derives the
+standard **burn rate**: observed error fraction divided by the error
+budget ``1 - target``.  Burn rate 1.0 means the budget is being spent
 exactly as fast as it accrues; a sustained burn rate above ~14 on a
 small window is the classic page-now signal.
 
@@ -25,9 +27,55 @@ tests drive the window with a fake clock, nothing here sleeps.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
+
+
+class _CounterRing:
+    """``width`` integer counters over a rolling window, bucketed ring.
+
+    Counter 0 is the total; the others are "good" tallies against it.
+    """
+
+    def __init__(
+        self,
+        width: int,
+        window_s: float,
+        buckets: int,
+        clock: Optional[Callable[[], float]],
+    ) -> None:
+        if window_s <= 0:
+            raise ValueError("window_s must be > 0")
+        if buckets < 1:
+            raise ValueError("buckets must be >= 1")
+        self.width = width
+        self.window_s = window_s
+        self.bucket_s = window_s / buckets
+        self.clock = clock if clock is not None else time.monotonic
+        self._rows: List[List[int]] = [[0] * width for _ in range(buckets)]
+        #: Absolute bucket index (monotonic) each slot currently holds.
+        self._stamp: List[int] = [-1] * buckets
+        self.lifetime: List[int] = [0] * width
+
+    def bucket(self) -> List[int]:
+        """The counters of the bucket holding *now* (one clock read)."""
+        epoch = int(self.clock() / self.bucket_s)
+        index = epoch % len(self._stamp)
+        if self._stamp[index] != epoch:
+            self._stamp[index] = epoch
+            self._rows[index] = [0] * self.width
+        return self._rows[index]
+
+    def window(self) -> List[int]:
+        """Each counter summed over the buckets still inside the window."""
+        oldest_live = int(self.clock() / self.bucket_s) - len(self._stamp) + 1
+        sums = [0] * self.width
+        for stamp, row in zip(self._stamp, self._rows):
+            if stamp >= oldest_live:
+                for column, count in enumerate(row):
+                    sums[column] += count
+        return sums
 
 
 class RollingRatio:
@@ -39,48 +87,31 @@ class RollingRatio:
         buckets: int = 30,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
-        if window_s <= 0:
-            raise ValueError("window_s must be > 0")
-        if buckets < 1:
-            raise ValueError("buckets must be >= 1")
-        self.window_s = window_s
-        self.bucket_s = window_s / buckets
-        self._clock = clock if clock is not None else time.monotonic
-        self._good: List[int] = [0] * buckets
-        self._total: List[int] = [0] * buckets
-        #: Absolute bucket index (monotonic) each slot currently holds.
-        self._stamp: List[int] = [-1] * buckets
-        self.lifetime_good = 0
-        self.lifetime_total = 0
+        self._ring = _CounterRing(2, window_s, buckets, clock)
 
-    def _slot(self, now: float) -> int:
-        epoch = int(now / self.bucket_s)
-        index = epoch % len(self._total)
-        if self._stamp[index] != epoch:
-            self._stamp[index] = epoch
-            self._good[index] = 0
-            self._total[index] = 0
-        return index
+    @property
+    def window_s(self) -> float:
+        return self._ring.window_s
+
+    @property
+    def lifetime_good(self) -> int:
+        return self._ring.lifetime[1]
+
+    @property
+    def lifetime_total(self) -> int:
+        return self._ring.lifetime[0]
 
     def record(self, good: bool) -> None:
-        index = self._slot(self._clock())
-        self._total[index] += 1
+        row, lifetime = self._ring.bucket(), self._ring.lifetime
+        row[0] += 1
+        lifetime[0] += 1
         if good:
-            self._good[index] += 1
-        self.lifetime_total += 1
-        if good:
-            self.lifetime_good += 1
+            row[1] += 1
+            lifetime[1] += 1
 
     def window_counts(self) -> Dict[str, int]:
         """(good, total) summed over buckets still inside the window."""
-        now = self._clock()
-        current_epoch = int(now / self.bucket_s)
-        oldest_live = current_epoch - len(self._total) + 1
-        good = total = 0
-        for index in range(len(self._total)):
-            if self._stamp[index] >= oldest_live:
-                good += self._good[index]
-                total += self._total[index]
+        total, good = self._ring.window()
         return {"good": good, "total": total}
 
     def ratio(self, default: float = 1.0) -> float:
@@ -102,18 +133,31 @@ class SloObjective:
         buckets: int = 30,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
+        self.rolling = RollingRatio(window_s, buckets, clock)
+        self._bind(name, target, self.rolling._ring, 1)
+
+    def _bind(
+        self, name: str, target: float, ring: _CounterRing, column: int
+    ) -> None:
+        """Read the objective as ``column`` good out of ``ring``'s total."""
         if not 0.0 < target < 1.0:
             raise ValueError("SLO target must be in (0, 1)")
         self.name = name
         self.target = target
-        self.rolling = RollingRatio(window_s, buckets, clock)
+        self._ring = ring
+        self._column = column
 
     def record(self, good: bool) -> None:
         self.rolling.record(good)
 
+    def _counts(self) -> Tuple[int, int]:
+        """(good, total) over the window: one ring read."""
+        window = self._ring.window()
+        return window[self._column], window[0]
+
     @property
     def ratio(self) -> float:
-        return self.rolling.ratio()
+        return _ratio(*self._counts())
 
     @property
     def met(self) -> bool:
@@ -122,22 +166,52 @@ class SloObjective:
     @property
     def burn_rate(self) -> float:
         """Error fraction over error budget (1.0 = spending at accrual)."""
-        budget = 1.0 - self.target
-        return (1.0 - self.ratio) / budget
+        return self._burn(self.ratio)
+
+    def _burn(self, ratio: float) -> float:
+        return (1.0 - ratio) / (1.0 - self.target)
 
     def snapshot(self) -> Dict[str, object]:
-        counts = self.rolling.window_counts()
+        return self._snapshot(*self._counts())
+
+    def _snapshot(self, good: int, total: int) -> Dict[str, object]:
+        """Every field from one ``(good, total)`` window read, so a
+        bucket boundary crossed mid-snapshot cannot make it disagree
+        with itself."""
+        ratio = _ratio(good, total)
+        lifetime = self._ring.lifetime
         return {
             "target": self.target,
-            "window_s": self.rolling.window_s,
-            "window_good": counts["good"],
-            "window_total": counts["total"],
-            "ratio": round(self.ratio, 6),
-            "burn_rate": round(self.burn_rate, 4),
-            "met": self.met,
-            "lifetime_good": self.rolling.lifetime_good,
-            "lifetime_total": self.rolling.lifetime_total,
+            "window_s": self._ring.window_s,
+            "window_good": good,
+            "window_total": total,
+            "ratio": round(ratio, 6),
+            "burn_rate": round(self._burn(ratio), 4),
+            "met": ratio >= self.target,
+            "lifetime_good": lifetime[self._column],
+            "lifetime_total": lifetime[0],
         }
+
+
+def _ratio(good: int, total: int) -> float:
+    """Good fraction; 1.0 when nothing was counted."""
+    return good / total if total else 1.0
+
+
+class _TrackedObjective(SloObjective):
+    """An objective over one column of :class:`SloTracker`'s shared
+    ring; recorded only through :meth:`SloTracker.record_response`."""
+
+    def __init__(
+        self, name: str, target: float, ring: _CounterRing, column: int
+    ) -> None:
+        self._bind(name, target, ring, column)
+
+    def record(self, good: bool) -> None:
+        raise TypeError(
+            f"the {self.name!r} objective is recorded through "
+            "SloTracker.record_response"
+        )
 
 
 class SloTracker:
@@ -170,11 +244,13 @@ class SloTracker:
         if latency_threshold_s <= 0:
             raise ValueError("latency_threshold_s must be > 0")
         self.latency_threshold_s = latency_threshold_s
-        self.availability = SloObjective(
-            "availability", availability_target, window_s, buckets, clock
+        #: Counters per bucket: [total, mediated, fast].
+        self._ring = _CounterRing(3, window_s, buckets, clock)
+        self.availability: SloObjective = _TrackedObjective(
+            "availability", availability_target, self._ring, 1
         )
-        self.latency = SloObjective(
-            "latency", latency_target, window_s, buckets, clock
+        self.latency: SloObjective = _TrackedObjective(
+            "latency", latency_target, self._ring, 2
         )
         if metrics is not None:
             self.bind_metrics(metrics)
@@ -201,20 +277,35 @@ class SloTracker:
             budget).
         :param latency_s: end-to-end service latency.
         """
-        self.availability.record(mediated)
-        self.latency.record(latency_s <= self.latency_threshold_s)
+        row, lifetime = self._ring.bucket(), self._ring.lifetime
+        row[0] += 1
+        lifetime[0] += 1
+        if mediated:
+            row[1] += 1
+            lifetime[1] += 1
+        if latency_s <= self.latency_threshold_s:
+            row[2] += 1
+            lifetime[2] += 1
 
     @property
     def healthy(self) -> bool:
-        """Both objectives currently met."""
-        return self.availability.met and self.latency.met
+        """Both objectives currently met (one window read)."""
+        total, mediated, fast = self._ring.window()
+        return (
+            _ratio(mediated, total) >= self.availability.target
+            and _ratio(fast, total) >= self.latency.target
+        )
 
     def snapshot(self) -> Dict[str, object]:
+        """Both objectives and ``healthy`` from one window read."""
+        total, mediated, fast = self._ring.window()
+        availability = self.availability._snapshot(mediated, total)
+        latency = self.latency._snapshot(fast, total)
         return {
-            "availability": self.availability.snapshot(),
+            "availability": availability,
             "latency": {
                 "threshold_ms": round(self.latency_threshold_s * 1e3, 3),
-                **self.latency.snapshot(),
+                **latency,
             },
-            "healthy": self.healthy,
+            "healthy": bool(availability["met"] and latency["met"]),
         }

@@ -1455,20 +1455,22 @@ class PolicyDecisionPoint:
         """Feed ``pdp.latency``, the flight recorder, SLO tracker,
         per-tenant latency tallies, and the audit chain — every
         response, every path (cache hit, batch, shed, timeout, unknown
-        tenant, error)."""
-        self._h_latency.observe(response.latency_s)
-        self.slo.record_response(
-            mediated=response.outcome in MEDIATED_OUTCOMES,
-            latency_s=response.latency_s,
-        )
+        tenant, error).
+
+        The flight ring keeps ``response`` itself and renders it on
+        read; a response carries a decision exactly when its outcome
+        is mediated (GRANT/DENY), so that is the availability test.
+        """
+        latency_s = response.latency_s
+        decision = response.decision
+        self._h_latency.observe(latency_s)
+        self.slo.record_response(decision is not None, latency_s)
         state = self._tenants.get(response.tenant)
         if state is not None:
-            state.latency_sum_s += response.latency_s
+            state.latency_sum_s += latency_s
             state.latency_count += 1
-        decision = response.decision
         writer = self.audit_writer
-        if writer is not None and response.outcome in MEDIATED_OUTCOMES:
-            assert decision is not None
+        if writer is not None and decision is not None:
             writer.append(
                 {
                     "timestamp": time.time(),
@@ -1494,29 +1496,8 @@ class PolicyDecisionPoint:
                 }
             )
         flight = self.flight
-        if flight is None:
-            return
-        winner = decision.resolution.winner if decision is not None else None
-        flight.record(
-            subject=response.request.subject,
-            transaction=response.request.transaction,
-            obj=response.request.obj,
-            outcome=response.outcome.value,
-            granted=response.granted,
-            cached=response.cached,
-            request_id=response.request_id,
-            trace_id=response.trace_id,
-            matched_rule=(
-                winner.permission.describe() if winner is not None else None
-            ),
-            rationale=response.rationale,
-            environment_roles=(
-                sorted(decision.environment_roles)
-                if decision is not None
-                else None
-            ),
-            latency_us=response.latency_s * 1e6,
-        )
+        if flight is not None:
+            flight.add(response)
 
     # ------------------------------------------------------------------
     # Cache keying
@@ -1609,8 +1590,13 @@ class PolicyDecisionPoint:
             request.identity_confidence,
             frozenset(request.role_claims.items()),
             engine.confidence_threshold,
-            engine.policy.precedence,
-            engine.policy.default_sign,
+            # The members' plain values: an Enum member hashes through
+            # the pure-Python ``Enum.__hash__``, a str through its
+            # cached hash, and ``_value_`` skips the ``.value``
+            # descriptor.  Values are unique per member, so the key
+            # still tells every setting apart.
+            engine.policy.precedence._value_,
+            engine.policy.default_sign._value_,
         )
 
     # ------------------------------------------------------------------

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import MetricsRegistry, RollingRatio, SloObjective, SloTracker
 
@@ -155,3 +157,110 @@ class TestSloTracker:
     def test_rejects_nonpositive_threshold(self):
         with pytest.raises(ValueError):
             SloTracker(latency_threshold_s=0.0)
+
+
+class SteppingClock(FakeClock):
+    """Advances ``step`` seconds on every read."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.step = 0.0
+
+    def __call__(self) -> float:
+        now = self.t
+        self.t += self.step
+        return now
+
+
+def assert_self_consistent(snapshot, target: float) -> None:
+    total = snapshot["window_total"]
+    ratio = snapshot["window_good"] / total if total else 1.0
+    assert snapshot["ratio"] == round(ratio, 6)
+    assert snapshot["burn_rate"] == round((1.0 - ratio) / (1.0 - target), 4)
+    assert snapshot["met"] is (ratio >= target)
+
+
+class TestSnapshotReadsTheWindowOnce:
+    def test_bucket_boundary_mid_snapshot_cannot_contradict(self):
+        # 5 bad events land in the oldest live bucket; every later clock
+        # read during the snapshot pushes them out of the window.
+        clock = SteppingClock()
+        objective = SloObjective(
+            "availability", 0.99, window_s=30, buckets=3, clock=clock
+        )
+        for _ in range(5):
+            objective.record(False)
+        clock.advance(20)
+        clock.step = 10.0
+        snapshot = objective.snapshot()
+        assert snapshot["window_good"] == 0
+        assert snapshot["window_total"] == 5
+        assert snapshot["ratio"] == 0.0
+        assert snapshot["met"] is False
+        assert_self_consistent(snapshot, 0.99)
+
+    def test_tracker_snapshot_and_healthy_agree(self):
+        clock = SteppingClock()
+        tracker = SloTracker(window_s=30, buckets=3, clock=clock)
+        for _ in range(5):
+            tracker.record_response(mediated=False, latency_s=1.0)
+        clock.advance(20)
+        clock.step = 10.0
+        snapshot = tracker.snapshot()
+        assert snapshot["availability"]["window_total"] == 5
+        assert_self_consistent(snapshot["availability"], 0.999)
+        assert_self_consistent(snapshot["latency"], 0.99)
+        assert snapshot["healthy"] is False
+
+    def test_tracker_objectives_record_only_through_the_tracker(self):
+        tracker = SloTracker(clock=FakeClock())
+        with pytest.raises(TypeError):
+            tracker.availability.record(True)
+
+
+def reference_snapshot(availability, latency, threshold_s):
+    """What two independent objectives (the pre-shared-ring shape)
+    report for the same stream."""
+    return {
+        "availability": availability.snapshot(),
+        "latency": {
+            "threshold_ms": round(threshold_s * 1e3, 3),
+            **latency.snapshot(),
+        },
+        "healthy": availability.met and latency.met,
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.booleans(),
+            st.floats(min_value=0.0, max_value=0.1),
+            # Up to ~3 windows: gaps longer than the window included.
+            st.floats(min_value=0.0, max_value=100.0),
+        ),
+        max_size=60,
+    )
+)
+def test_one_ring_tracker_matches_two_rolling_ratios(events):
+    clock = FakeClock()
+    window = {"window_s": 30.0, "buckets": 3, "clock": clock}
+    tracker = SloTracker(
+        availability_target=0.9, latency_threshold_s=0.05,
+        latency_target=0.8, **window,
+    )
+    availability = SloObjective("availability", 0.9, **window)
+    latency = SloObjective("latency", 0.8, **window)
+    for mediated, latency_s, advance in events:
+        clock.advance(advance)
+        tracker.record_response(mediated=mediated, latency_s=latency_s)
+        availability.record(mediated)
+        latency.record(latency_s <= 0.05)
+        expected = reference_snapshot(availability, latency, 0.05)
+        assert tracker.snapshot() == expected
+        assert tracker.healthy is expected["healthy"]
+        assert tracker.availability.burn_rate == availability.burn_rate
+        assert tracker.latency.ratio == latency.ratio
+    clock.advance(31.0)  # everything ages out; lifetimes stay
+    assert tracker.snapshot() == reference_snapshot(availability, latency, 0.05)
