@@ -16,7 +16,7 @@ only, so request ids stay unique on it and no message is rewritten.
 Routing is one synchronous call chain inside the read that delivered
 the message — ``frame_received / line_received -> peek id + shard key
 -> ring.route -> upstream.write(bytes)`` — and an answer is
-``upstream.frame_received / line_received -> session.reply(bytes)``.
+``upstream.frame_received / line_received -> session.write(bytes)``.
 No task lives as long as a connection, nothing locks or ``drain()``s,
 and what is queued for a socket leaves in one ``transport.write`` per
 loop turn.  The router awaits in two places, each a short task:
@@ -30,7 +30,8 @@ What blocking used to give, the connections hold by construction:
 * backpressure is paired — a session whose client stops reading stops
   its upstreams, and an upstream whose worker stops reading (or has
   not connected yet) stops its session, so what the router buffers per
-  session is bounded by the transports' high-water marks plus one read;
+  session is bounded by the transports' high-water marks plus one read
+  buffer;
 * a reload holds its own stream — nothing later in that session, not
   even what the same read delivered, is routed before the reload's
   reply is queued; other sessions carry on;
@@ -210,29 +211,40 @@ class _Upstream(WireConnection):
             self.session.resume_reading()
 
     def frame_received(self, kind: int, body: bytes) -> None:
-        self._settle(peek_binary_id(body))
-        self.session.reply(frame(kind, body))
+        self._settle(peek_binary_id(body), frame(kind, body))
 
     def line_received(self, line: bytes) -> None:
         """Pass one NDJSON response through; intercept intern replies."""
         wire_id, parsed = _scan_response_id(line)
-        tag = self._settle(wire_id)
-        if wire_id == ROUTER_INTERN_ID:
-            return  # the router's own table pin; nothing to forward
-        if tag == "intern" and not self.session.capture_tables(
-            self, wire_id, line, parsed
-        ):
-            return  # refused instead: the tables cannot be replayed
-        self.session.reply(line + b"\n")
+        self._settle(wire_id, line + b"\n", parsed)
 
-    def _settle(self, wire_id: object) -> Optional[str]:
-        """``wire_id`` was answered: close its router span and return
-        the lane tag it came in on (``None``: nothing was owed — a
-        pushed revocation, a duplicate)."""
+    def _settle(
+        self,
+        wire_id: object,
+        answer: Optional[bytes] = None,
+        parsed: Optional[dict] = None,
+    ) -> None:
+        """``wire_id`` is settled — by the worker's ``answer``, passed
+        on to the client, or (``answer`` None) by this upstream's
+        failure, answered for it.  Nothing may be owed for it (a pushed
+        revocation, a duplicate).  Every in-flight message of the
+        session ends here or in a reload, so this is where a
+        half-closed client's socket closes behind its last answer."""
+        session, router = self.session, self.session.router
         lane, pending = self.outstanding.pop(wire_id, (None, None))
-        if pending is not None:
-            self.session.router._record_span(pending, self.name, "ok")
-        return lane
+        if answer is None:
+            router._shed(session, wire_id, lane, self.name, pending, "unavailable")
+        else:
+            if pending is not None:
+                router._record_span(pending, self.name, "ok")
+            # The router's own table pin is consumed; an intern reply
+            # whose tables cannot be replayed was refused instead.
+            if wire_id != ROUTER_INTERN_ID and (
+                lane != "intern"
+                or session.capture_tables(self, wire_id, answer, parsed)
+            ):
+                session.write(answer)
+        session.close_if_answered()
 
     def connection_lost(self, exc: Optional[Exception]) -> None:
         super().connection_lost(exc)
@@ -249,17 +261,18 @@ class _Upstream(WireConnection):
         shut before it moves on."""
         super().close()
         session, router = self.session, self.session.router
+        # Settled while still counted in the session's in-flight total,
+        # so a half-closed session closes behind the last answer only.
+        for wire_id in list(self.outstanding):
+            if synthesize:
+                self._settle(wire_id)
+            else:
+                _, pending = self.outstanding.pop(wire_id)
+                if pending is not None:
+                    router._record_span(pending, self.name, "unavailable")
         if session.upstreams.get(self.name) is self:
             del session.upstreams[self.name]
-        self.resume_writing()
-        for wire_id in list(self.outstanding):
-            lane, pending = self.outstanding.pop(wire_id)
-            if synthesize:
-                router._shed(
-                    session, wire_id, lane, self.name, pending, "unavailable"
-                )
-            elif pending is not None:
-                router._record_span(pending, self.name, "unavailable")
+        self.resume_writing()  # routes nothing here: deregistered first
         if self.transport is None and not self.gone.done():
             self.gone.set_result(None)  # there never was a socket
         return self.gone
@@ -398,16 +411,15 @@ class _Session(WireConnection):
         for upstream in list(self.upstreams.values()):
             upstream.close(synthesize=False)
 
-    def reply(self, data: bytes) -> None:
-        """Queue one message for the client.  A half-closed client's
+    def close_if_answered(self) -> None:
+        """Something in flight was settled: a half-closed client's
         socket closes behind the last answer it was owed."""
-        self.write(data)
         if self._eof and not self.in_flight:
             self.close()
 
     def refuse(self, wire_id: object, message: str) -> None:
         """Answer control op ``wire_id`` with an error line."""
-        self.reply(dumps_line({"id": wire_id, "error": message}))
+        self.write(dumps_line({"id": wire_id, "error": message}))
 
 
 class ShardRouter:
@@ -558,7 +570,7 @@ class ShardRouter:
     # ------------------------------------------------------------------
     def _route_frame(self, session: _Session, kind: int, body: bytes) -> None:
         if kind != KIND_REQUEST:
-            session.reply(
+            session.write(
                 encode_binary_error(None, f"unexpected frame kind {kind}")
             )
             return
@@ -570,7 +582,7 @@ class ShardRouter:
             )
             incoming = peek_binary_trace(body)
         except ServiceError as error:
-            session.reply(
+            session.write(
                 encode_binary_error(peek_binary_id(body), str(error))
             )
             return
@@ -594,7 +606,7 @@ class ShardRouter:
             try:
                 payload = parse_line(line)
             except ServiceError as error:
-                session.reply(dumps_line({"error": str(error)}))
+                session.write(dumps_line({"error": str(error)}))
                 return
             op = payload.get("op")
             if op is not None:
@@ -746,7 +758,7 @@ class ShardRouter:
         else:
             data = dumps_line({"id": wire_id, "error": detail})
         self.unavailable_synthesized += 1
-        session.reply(data)
+        session.write(data)
 
     def _spawn(self, coroutine: Awaitable[None]) -> None:
         """Run one of the router's two awaits as a short task of its
@@ -769,7 +781,7 @@ class ShardRouter:
     ) -> None:
         wire_id = payload.get("id")
         if op == "ping":
-            session.reply(dumps_line({"op": "pong", "id": wire_id}))
+            session.write(dumps_line({"op": "pong", "id": wire_id}))
         elif op in _RELOAD_OPS:
             if self.reload_handler is None:
                 session.refuse(
@@ -825,8 +837,9 @@ class ShardRouter:
             reply = {"id": wire_id, "error": f"cluster reload failed: {error}"}
         finally:
             session.reloading = False
-        session.reply(dumps_line(reply))
+        session.write(dumps_line(reply))
         session.resume_reading()
+        session.close_if_answered()
 
     # ------------------------------------------------------------------
     # Introspection

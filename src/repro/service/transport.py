@@ -1,17 +1,29 @@
 """The one connection path of the wire: parse per read, write per turn.
 
-:class:`WireConnection` is the ``asyncio.Protocol`` every endpoint of
-the PDP wire is built on: :class:`~repro.service.server.PDPServer`'s
-per-connection state, :class:`~repro.service.client.RemotePDPClient`,
-and both sides of :class:`~repro.cluster.router.ShardRouter`'s relay.
-It owns the three things every endpoint used to pay a coroutine, a lock
-and a ``drain()`` for:
+:class:`WireConnection` is the ``asyncio.BufferedProtocol`` every
+endpoint of the PDP wire is built on:
+:class:`~repro.service.server.PDPServer`'s per-connection state,
+:class:`~repro.service.client.RemotePDPClient`, and both sides of
+:class:`~repro.cluster.router.ShardRouter`'s relay.  It owns what every
+endpoint would otherwise pay an allocation per read, or a coroutine, a
+lock and a ``drain()`` per message for:
 
-* **framing** — ``data_received`` appends to a buffer and hands *every*
-  complete message in it to :meth:`frame_received` (a ``0xB1`` binary
-  frame) or :meth:`line_received` (an NDJSON line) in one pass, in
-  stream order; a partial message waits for the next read.  Format
-  detection is per message, so both lanes share a socket.
+* **one read buffer** — each connection reads into its own
+  ``bytearray`` of :data:`READ_BUFFER_BYTES`, reused for every read
+  (``get_buffer`` hands the transport a view of its free tail), so no
+  read allocates.  The unfinished tail of a read moves to the front
+  only when the free space runs out.  Only a single message longer
+  than the buffer gets a larger one — sized from the frame header, or
+  doubled up to the line cap, both checked first — and once that
+  message is delivered the connection is back on its own buffer.
+* **framing** — ``buffer_updated`` hands *every* complete message in
+  the unread span to :meth:`frame_received` (a ``0xB1`` binary frame)
+  or :meth:`line_received` (an NDJSON line) in one pass, in stream
+  order, parsing in place; a partial message waits for the next read,
+  and a partial line's newline scan resumes where the last read
+  stopped.  Hooks get ``bytes`` (one copy each), never a view of the
+  buffer, so they may keep what they are given.  Format detection is
+  per message, so both lanes share a socket.
 * **write coalescing** — :meth:`write` only queues; everything queued
   during one parse pass leaves in a single ``transport.write`` when the
   pass ends, and anything queued between passes (batcher completions,
@@ -24,9 +36,10 @@ and a ``drain()`` for:
   something to await; both resume at the low-water mark.  Buffered
   output is therefore bounded by the high-water mark plus the answers
   to one read.  :meth:`pause_reading` / :meth:`resume_reading` nest and
-  stop *delivery*, not just the socket, so a relay (the shard router)
-  can stop one side for exactly as long as the other cannot write, or
-  while it awaits something the stream must not overtake.
+  stop *delivery*, not just the socket — what was read meanwhile waits
+  in the buffer — so a relay (the shard router) can stop one side for
+  exactly as long as the other cannot write, or while it awaits
+  something the stream must not overtake.
 
 A connection may be written before it exists: until ``connection_made``
 :meth:`write` only queues, and the queue leaves in the first write.
@@ -50,8 +63,13 @@ from repro.service.protocol import (
 
 _HEADER_BYTES = FRAME_HEADER.size
 
+#: Size of every connection's read buffer, and so the most one read
+#: takes off the socket.  Every open connection holds one (the router
+#: 1 + workers per client session); a closed-loop read is ≈ 1 KiB.
+READ_BUFFER_BYTES = 16 * 1024
 
-class WireConnection(asyncio.Protocol):
+
+class WireConnection(asyncio.BufferedProtocol):
     """Framing, coalesced writes and flow control for one socket."""
 
     #: Longest NDJSON line accepted (clients raise it: op responses).
@@ -60,7 +78,20 @@ class WireConnection(asyncio.Protocol):
     def __init__(self) -> None:
         self.transport: Optional[asyncio.Transport] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._inbox = bytearray()
+        #: The connection's own read buffer; ``_buffer`` is it, or a
+        #: larger one while a single message outgrows it.  Neither is
+        #: ever resized: the transport's view of it is live while the
+        #: messages of a read are delivered.
+        self._base = self._buffer = bytearray(READ_BUFFER_BYTES)
+        self._view = memoryview(self._buffer)
+        #: ``_buffer[_start:_end]`` has been read and not yet delivered.
+        self._start = self._end = 0
+        #: Bytes the frame at ``_start`` takes, once its header is read
+        #: and it is not complete (else 0).
+        self._need = 0
+        #: ``_buffer`` index before which the unfinished line at
+        #: ``_start`` holds no newline.
+        self._scanned = 0
         self._outbox: List[bytes] = []
         self._in_pass = False
         #: A flush is already due — true until ``connection_made``,
@@ -101,22 +132,21 @@ class WireConnection(asyncio.Protocol):
         self._flush_scheduled = False
         self.flush()
 
-    def data_received(self, data: bytes) -> None:
-        inbox = self._inbox
-        if inbox:
-            inbox += data
-            del inbox[: self._parse(inbox)]
-        else:
-            # Nothing left over: parse the read in place and keep only
-            # its unfinished tail.
-            consumed = self._parse(data)
-            if consumed < len(data):
-                inbox += memoryview(data)[consumed:]
+    def get_buffer(self, sizehint: int) -> memoryview:
+        if self._end == len(self._buffer):
+            self._make_room()
+        return self._view[self._end :]
 
-    def _parse(self, buffer) -> int:
-        """Dispatch every complete message in ``buffer``; returns how
-        many bytes were consumed."""
-        position, size = 0, len(buffer)
+    def buffer_updated(self, nbytes: int) -> None:
+        self._end += nbytes
+        self._parse()
+
+    def _parse(self) -> None:
+        """Deliver every complete message of the unread span, in stream
+        order, until the span runs out or a hold stops delivery."""
+        buffer, view = self._buffer, self._view
+        position, size = self._start, self._end
+        self._need = 0
         self._in_pass = True
         try:
             while position < size and not self._read_holds:
@@ -127,47 +157,87 @@ class WireConnection(asyncio.Protocol):
                         buffer, position
                     )
                     if length > MAX_FRAME_BYTES:
-                        return self._desynced(
+                        position = self._desynced(
                             f"binary frame of {length} bytes exceeds "
                             f"{MAX_FRAME_BYTES}",
                             True,
                             size,
                         )
+                        break
                     end = position + _HEADER_BYTES + length
                     if end > size:
+                        self._need = end - position
                         break
-                    body = bytes(buffer[position + _HEADER_BYTES : end])
+                    body = bytes(view[position + _HEADER_BYTES : end])
                     position = end
                     self.frame_received(kind, body)
                     continue
-                end = buffer.find(b"\n", position)
+                end = buffer.find(b"\n", max(position, self._scanned), size)
                 if (size if end < 0 else end) - position > self.max_line_bytes:
-                    return self._desynced("wire line too long", False, size)
-                if end < 0:
+                    position = self._desynced("wire line too long", False, size)
                     break
-                line = bytes(buffer[position:end]).strip()
+                if end < 0:
+                    if not self._eof:
+                        self._scanned = size
+                        break
+                    end = size  # the peer is done: a final line still counts
+                line = bytes(view[position:end]).strip()
                 position = end + 1
                 if line:
                     self.line_received(line)
         finally:
             self._in_pass = False
+            self._consumed(min(position, size))
             self.flush()
-        return position
 
     def _desynced(self, message: str, binary: bool, size: int) -> int:
         self.protocol_error(message, binary)
         self.close()
         return size
 
+    def _consumed(self, position: int) -> None:
+        """Everything before ``position`` has been delivered."""
+        self._start = position
+        if self._buffer is not self._base:
+            if max(self._need, self._end - position) < len(self._base):
+                self._move_span(self._base)  # the long message is gone
+        elif position == self._end:
+            self._start = self._end = self._scanned = 0
+
+    def _make_room(self) -> None:
+        """The buffer is full: move the unread span to the front of the
+        connection's own buffer, or — when one message needs more than
+        that — of one that holds it: the frame header's size, or double
+        for a line (whose prefix the line cap has already passed) up to
+        the cap plus one read, so that the read which finds a line too
+        long takes what the peer sent behind it too, and the close that
+        follows is a clean one, not a reset."""
+        need = max(self._need, self._end - self._start + 1)
+        if need <= len(self._base):
+            target = self._base
+        elif need <= len(self._buffer):
+            target = self._buffer
+        elif self._need:
+            target = bytearray(need)
+        else:
+            ceiling = self.max_line_bytes + len(self._base)
+            target = bytearray(max(need, min(2 * len(self._buffer), ceiling)))
+        self._move_span(target)
+
+    def _move_span(self, target: bytearray) -> None:
+        start, end = self._start, self._end
+        view = self._view if target is self._buffer else memoryview(target)
+        view[: end - start] = self._view[start:end]  # a memmove: may overlap
+        self._buffer, self._view = target, view
+        self._start, self._end = 0, end - start
+        self._scanned -= start
+
     def eof_received(self) -> Optional[bool]:
         """The peer finished sending: a final unterminated line still
         counts, a truncated frame is dropped.  The transport closes
         unless an override returns true to keep writing."""
         self._eof = True
-        inbox = self._inbox
-        if inbox and inbox[0] != BINARY_MAGIC:
-            self._parse(bytes(inbox) + b"\n")
-        inbox.clear()
+        self._parse()
         return None
 
     # ------------------------------------------------------------------
@@ -226,9 +296,8 @@ class WireConnection(asyncio.Protocol):
         self._read_holds -= 1
         if not self._read_holds:
             self._set_reading(True)
-            inbox = self._inbox
-            if inbox and not self._in_pass:  # what waited while held
-                del inbox[: self._parse(inbox)]
+            if self._end > self._start and not self._in_pass:
+                self._parse()  # what waited while held
 
     def _set_reading(self, reading: bool) -> None:
         transport = self.transport
@@ -254,7 +323,7 @@ class WireConnection(asyncio.Protocol):
 
     def connection_lost(self, exc: Optional[Exception]) -> None:
         self._closed = True
-        self._inbox.clear()
+        self._start = self._end = 0  # nothing read is delivered any more
         self._outbox.clear()
         resumed, self._resumed = self._resumed, None
         if resumed is not None and not resumed.done():

@@ -6,10 +6,12 @@ construction.  These tests pin it: (a) a fresh upstream is written
 before it connects — table pin first — and a refused connect answers
 what was queued; (b) backpressure is paired across session and
 upstreams; (c) a reload holds its own session's stream, and only that;
-(d) a half-closed client is still answered.  Two defects the
-stream-based relay had are pinned too: answers silently dropped on
-half-close, and requests that never returned once the intern tables
-outgrew one wire line.
+(d) a half-closed client is still answered, and closed behind its last
+answer — even when that is the router's own table pin, or the last of
+a dead worker's synthesized answers.  Two defects the stream-based
+relay had are pinned too: answers silently dropped on half-close, and
+requests that never returned once the intern tables outgrew one wire
+line.
 
 Workers are in-process :class:`PDPServer` instances, or a hand-rolled
 :class:`ScriptedWorker` where a test needs one that misbehaves.
@@ -49,14 +51,19 @@ from repro.service.protocol import (
     encode_binary_request,
     encode_request,
 )
+from repro.service.transport import READ_BUFFER_BYTES
 
 from tests.cluster.test_revocation_relay import REQUEST as LIVE_REQUEST
 from tests.cluster.test_revocation_relay import make_worker as make_live_worker
 from tests.service.test_property_chunking import (
+    LONGER_THAN_A_READ,
     TABLES,
     FakeTransport,
     cut,
     envs,
+    feed,
+    fills,
+    op_line,
     requests,
     split_messages,
     summarize,
@@ -67,8 +74,8 @@ ENV = frozenset({"free-time"})
 #: On a two-worker ring mom and alice hash to w0, bobby to w1.
 ON_W0, ON_W1 = "alice", "bobby"
 HANDSHAKE = dumps_line({"op": "intern", "id": 0})
-#: One selector-transport read (asyncio's ``max_size``).
-ONE_READ = 256 * 1024
+#: The most one read takes off a socket: a connection's read buffer.
+ONE_READ = READ_BUFFER_BYTES
 FLOOD = 40_000
 
 
@@ -283,22 +290,26 @@ def encode_stream(items) -> bytes:
         elif item[0] == "binary":
             stream += encode_binary_request(TABLES, item[1], index, env=item[2])
         else:
-            line = dumps_line({"op": item[1], "id": index, "policy": "x"})
-            stream += line[:-1] + item[2]
+            stream += op_line(item, index, policy="x")
     return bytes(stream)
 
 
-async def deliver(router: ShardRouter, chunks: Sequence[bytes], expected: int):
+async def deliver(
+    router: ShardRouter,
+    chunks: Sequence[bytes],
+    expected: int,
+    fills: Sequence[int] = (),
+):
     """Feed ``chunks`` to a fresh session of ``router`` (the handshake
     answered first, as a client would wait for it); returns what the
     session wrote, split into messages, in order."""
     session = _Session(router)
     transport = FakeTransport()
     session.connection_made(transport)
-    session.data_received(HANDSHAKE)
+    feed(session, HANDSHAKE)
     await eventually(lambda: b"\n" in transport.written)
     for chunk in chunks:
-        session.data_received(chunk)
+        feed(session, chunk, fills)
         if len(chunks) > 1:
             await asyncio.sleep(0)
     written: List = []
@@ -322,10 +333,12 @@ async def deliver(router: ShardRouter, chunks: Sequence[bytes], expected: int):
         st.lists(st.integers(min_value=1, max_value=4096), max_size=12),
         st.just(range(1, 4096)),  # every byte its own chunk
     ),
+    fills=fills,
 )
 @example(  # a cut after each byte of a frame header
     items=[("binary", request_for(ON_W1), ENV)],
     cuts=range(1, 4096),
+    fills=[],
 )
 @example(  # decisions for both workers pipelined behind a reload
     items=[
@@ -336,8 +349,20 @@ async def deliver(router: ShardRouter, chunks: Sequence[bytes], expected: int):
         ("op", "tenants", b"\n"),
     ],
     cuts=[],
+    fills=[],
 )
-def test_any_partition_yields_the_same_answers(items, cuts) -> None:
+@example(  # a line longer than the buffer, read in while a reload holds it
+    items=[
+        ("json", request_for(ON_W0), ENV),
+        ("op", "reload", b"\n"),
+        ("op", "ping", b"\r\n", LONGER_THAN_A_READ),
+        ("binary", request_for(ON_W1), ENV),
+        ("op", "tenants", b"\n"),
+    ],
+    cuts=[200],
+    fills=[5_001, 7],
+)
+def test_any_partition_yields_the_same_answers(items, cuts, fills) -> None:
     stream = encode_stream(items)
     expected = len(items) + 1
 
@@ -348,7 +373,9 @@ def test_any_partition_yields_the_same_answers(items, cuts) -> None:
     async def scenario():
         async with Cluster(reload_handler=handler) as cluster:
             whole = await deliver(cluster.router, [stream], expected)
-            parts = await deliver(cluster.router, cut(stream, cuts), expected)
+            parts = await deliver(
+                cluster.router, cut(stream, cuts), expected, fills
+            )
             return whole, parts
 
     whole, parts = asyncio.run(scenario())
@@ -401,7 +428,7 @@ def test_queue_leaves_on_connect_pin_first_then_frames_in_order() -> None:
             # Handed straight to the session, as its transport would:
             # by the time the call returns the first frame is routed —
             # synchronously, before there is a socket to write it to.
-            session.data_received(b"".join(frames))
+            feed(session, b"".join(frames))
             fresh = session.upstreams["w1"]
             queued = (fresh.transport is None, list(fresh._outbox))
             await eventually(lambda: len(workers[1].messages()) == 4)
@@ -471,7 +498,7 @@ def router_buffered(session) -> int:
     """Bytes the router holds for one session, whichever way they flow."""
     connections = [session, *session.upstreams.values()]
     return sum(
-        len(c._inbox)
+        c._end - c._start  # read, not yet delivered
         + sum(map(len, c._outbox))
         + (c.transport.get_write_buffer_size() if c.transport else 0)
         for c in connections
@@ -742,12 +769,47 @@ def test_half_closed_subscriber_is_detached_upstream_once_drained() -> None:
     assert grants == 0 and stats["sessions"] == 0
 
 
+def test_half_closed_after_intern_closes_once_the_pins_are_answered() -> None:
+    """The intern reply pins the session's other upstream before it is
+    relayed, so the last thing settled is the router's own pin — which
+    forwards nothing, and must still close the half-closed session."""
+
+    async def scenario():
+        async with Cluster() as cluster:
+            router = cluster.router
+            reader, writer = await open_client(router.port, handshake=False)
+            writer.write(
+                dumps_line(encode_request(request_for(ON_W0), 1, env=ENV))
+                + dumps_line(encode_request(request_for(ON_W1), 2, env=ENV))
+            )
+            await read_messages(reader, 2)  # both upstreams are open
+            writer.write(dumps_line({"op": "intern", "id": 7}))
+            writer.write_eof()
+            data = await asyncio.wait_for(reader.read(), 10.0)  # until close
+            writer.close()
+            await eventually(lambda: not router._sessions)
+            return split_messages(data), router.stats()
+
+    messages, stats = asyncio.run(scenario())
+    ((lane, reply),) = messages
+    assert lane == "line" and reply["id"] == 7 and "tables" in reply
+    assert stats["in_flight"] == 0 and stats["sessions"] == 0
+
+
 # ----------------------------------------------------------------------
 # Failure is an answer, never a hang
 # ----------------------------------------------------------------------
 def test_worker_killed_mid_pipeline_answers_every_outstanding_id() -> None:
-    n = 4
+    assert_killed_worker_answered(half_close=False)
 
+
+def test_half_closed_client_gets_every_answer_a_killed_worker_owed() -> None:
+    """Each synthesized answer settles one id; the session must close
+    behind the last of them, not the first."""
+    assert_killed_worker_answered(half_close=True)
+
+
+def assert_killed_worker_answered(half_close: bool, n: int = 4) -> None:
     async def scenario():
         doomed = await ScriptedWorker(die_after=2 * n).start()
         router = ShardRouter({"w0": ("127.0.0.1", doomed.port)})
@@ -755,7 +817,11 @@ def test_worker_killed_mid_pipeline_answers_every_outstanding_id() -> None:
         try:
             reader, writer = await open_client(router.port)
             writer.write(mixed_pipeline(n))
+            if half_close:
+                writer.write_eof()
             answers = verdicts(await read_messages(reader, 2 * n))
+            if half_close:
+                assert await asyncio.wait_for(reader.read(), 10.0) == b""
             writer.close()
             return answers, router.stats()
         finally:

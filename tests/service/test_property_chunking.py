@@ -1,10 +1,11 @@
 """Property: how the bytes were cut never changes the answers.
 
 The server parses every complete message a read delivered and keeps an
-unfinished tail for the next one.  Hypothesis builds valid mixed
-streams — NDJSON decisions, binary frames, control ops — and *any*
-partition of them into ``data_received`` chunks (one byte at a time, a
-cut inside the 6-byte frame header, a cut between ``\\r`` and ``\\n``)
+unfinished tail in its read buffer for the next one.  Hypothesis builds
+valid mixed streams — NDJSON decisions, binary frames, control ops —
+and *any* partition of them into arrivals (one byte at a time, a cut
+inside the 6-byte frame header, a cut between ``\\r`` and ``\\n``),
+each taken off the socket in reads of any size, as :func:`feed` does,
 must yield exactly the responses whole delivery does, with control ops
 answered in stream order.
 
@@ -16,6 +17,7 @@ a crash, never a hang, never a grant.
 from __future__ import annotations
 
 import asyncio
+import itertools
 import json
 from typing import Dict, List, Sequence, Tuple
 
@@ -41,6 +43,7 @@ from repro.service.protocol import (
     frame,
 )
 from repro.service.server import _Connection
+from repro.service.transport import READ_BUFFER_BYTES
 
 from tests.service.test_property_pdp import (
     ENV_ROLES,
@@ -122,7 +125,25 @@ def summarize(messages: Sequence[Tuple[str, object]]):
     return decisions, ops
 
 
-async def deliver(chunks: Sequence[bytes], expected: int):
+def feed(connection, chunk: bytes, fills: Sequence[int] = ()) -> None:
+    """Hand ``chunk`` to ``connection`` the way a transport does: ask
+    for a buffer, ``recv_into`` at most what it offers — and at most
+    the next of ``fills`` (cycled) — then report the bytes, with the
+    view still alive, until all of ``chunk`` is in."""
+    sizes = itertools.cycle(fills or [len(chunk)])
+    position = 0
+    while position < len(chunk):
+        buffer = connection.get_buffer(-1)
+        assert len(buffer)
+        taken = min(len(buffer), len(chunk) - position, next(sizes))
+        buffer[:taken] = chunk[position : position + taken]
+        position += taken
+        connection.buffer_updated(taken)
+
+
+async def deliver(
+    chunks: Sequence[bytes], expected: int, fills: Sequence[int] = ()
+):
     """Feed ``chunks`` to a fresh connection on a fresh PDP, yielding to
     the loop between chunks; returns the summary of what it wrote."""
     pdp = PolicyDecisionPoint(MediationEngine(build_policy()), PDPConfig())
@@ -132,7 +153,7 @@ async def deliver(chunks: Sequence[bytes], expected: int):
         transport = FakeTransport()
         connection.connection_made(transport)
         for chunk in chunks:
-            connection.data_received(chunk)
+            feed(connection, chunk, fills)
             if len(chunks) > 1:
                 await asyncio.sleep(0)
         for _ in range(10_000):
@@ -165,6 +186,14 @@ messages = st.one_of(
 )
 
 
+def op_line(item, index: int, **fields) -> bytes:
+    """An op item's bytes, ended by its terminator; a fourth element
+    pads the line past that many bytes (longer than the read buffer)."""
+    if len(item) > 3:
+        fields["pad"] = "x" * item[3]
+    return dumps_line({"op": item[1], "id": index, **fields})[:-1] + item[2]
+
+
 def encode_stream(items) -> bytes:
     """The wire bytes of ``items``, led by the intern handshake."""
     stream = bytearray(dumps_line({"op": "intern", "id": 0}))
@@ -174,14 +203,21 @@ def encode_stream(items) -> bytes:
         elif item[0] == "binary":
             stream += encode_binary_request(TABLES, item[1], index, env=item[2])
         else:
-            line = dumps_line({"op": item[1], "id": index})
-            stream += line[:-1] + item[2]
+            stream += op_line(item, index)
     return bytes(stream)
 
 
 def cut(stream: bytes, cuts: Sequence[int]) -> List[bytes]:
     edges = [0, *sorted({c % len(stream) for c in cuts} - {0}), len(stream)]
     return [stream[a:b] for a, b in zip(edges, edges[1:])]
+
+
+#: How many bytes each simulated ``recv_into`` takes (cycled; empty:
+#: all it is offered), so reads end anywhere against the buffer's end.
+fills = st.lists(
+    st.integers(min_value=1, max_value=2 * READ_BUFFER_BYTES), max_size=6
+)
+LONGER_THAN_A_READ = READ_BUFFER_BYTES + 3_000
 
 
 @settings(max_examples=60, deadline=None)
@@ -191,19 +227,32 @@ def cut(stream: bytes, cuts: Sequence[int]) -> List[bytes]:
         st.lists(st.integers(min_value=1, max_value=4096), max_size=12),
         st.just(range(1, 4096)),  # every byte its own chunk
     ),
+    fills=fills,
 )
 @example(  # a cut after each byte of a frame header
     items=[("binary", AccessRequest("watch", "tv", subject="alice"),
             frozenset({"free-time"}))],
     cuts=range(1, 4096),
+    fills=[],
 )
-def test_any_partition_yields_the_same_responses(items, cuts) -> None:
+@example(  # a line longer than the buffer, between reads that compact
+    items=[
+        ("json", AccessRequest("watch", "tv", subject="alice"), frozenset()),
+        ("op", "ping", b"\r\n", LONGER_THAN_A_READ),
+        ("binary", AccessRequest("watch", "tv", subject="alice"),
+         frozenset({"free-time"})),
+        ("op", "ping", b"\n"),
+    ],
+    cuts=[100, 5_000],
+    fills=[7_001, 3],
+)
+def test_any_partition_yields_the_same_responses(items, cuts, fills) -> None:
     stream = encode_stream(items)
     expected = len(items) + 1
 
     async def scenario():
         whole = await deliver([stream], expected)
-        parts = await deliver(cut(stream, cuts), expected)
+        parts = await deliver(cut(stream, cuts), expected, fills)
         return whole, parts
 
     whole, parts = asyncio.run(scenario())

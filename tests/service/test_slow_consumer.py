@@ -27,14 +27,15 @@ from repro.service import (
     RemotePDPClient,
 )
 from repro.service.protocol import dumps_line, encode_request
+from repro.service.transport import READ_BUFFER_BYTES
 
 from tests.service.test_revocation import REQUEST as LIVE_REQUEST
 from tests.service.test_revocation import make_server as make_live_server
 
 REQUEST = AccessRequest("watch", "livingroom/tv", subject="alice")
 ENV = frozenset({"free-time"})
-#: One selector-transport read (asyncio's ``max_size``).
-ONE_READ = 256 * 1024
+#: The most one read takes off a socket: a connection's read buffer.
+ONE_READ = READ_BUFFER_BYTES
 FLOOD = 40_000
 
 
