@@ -128,9 +128,10 @@ def measure_cluster(policy_path, policy, stream, expected, workers):
                         best = result
             finally:
                 await client.close()
+            status = await sup.cluster_status()
             routed = {
                 name: row["routed"]
-                for name, row in sup.router.stats()["workers"].items()
+                for name, row in status["router"]["workers"].items()
             }
         return best, routed
 

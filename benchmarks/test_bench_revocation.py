@@ -17,9 +17,10 @@ Two legs, both against real sockets:
   trip).  Gates: >= ``MIN_SESSIONS`` concurrent subscribed sessions,
   sustained >= ``EVENTS_GATE`` delivered revocations/s, p99 <=
   ``P99_GATE_MS``.
-* **Through the shard router** — the same flip relayed worker ->
-  router -> client (the router forwards unsolicited worker messages
-  byte-for-byte, no decode).  Gate: p99 <= ``ROUTER_P99_GATE_MS``.
+* **Through the shard router** — clients connected at the router:
+  they fetch ``members`` there and hold a direct link to the worker,
+  which pushes each revoke on the link that holds the grant.  Gate:
+  p99 <= ``ROUTER_P99_GATE_MS``.
 
 Machine-readable results go to
 ``benchmarks/reports/BENCH_revocation.json``.

@@ -800,7 +800,7 @@ def _cmd_cluster_start(args: argparse.Namespace) -> int:
         )
         if args.trace_sample_rate > 0:
             print(
-                f"router originating traces at rate "
+                f"workers originating traces at rate "
                 f"{args.trace_sample_rate} (GET /trace/<id>)",
                 flush=True,
             )
@@ -852,13 +852,12 @@ def _cmd_cluster_status(args: argparse.Namespace) -> int:
             f"  {name}: {worker['state']}  pid {worker['pid']}  "
             f"port {worker['port']}  restarts {worker['restarts']}  "
             f"routed {router_row.get('routed', 0)}  "
-            f"breaker {router_row.get('breaker', '?')}"
+            f"membership {router_row.get('state', '?')}"
         )
     router = status.get("router", {})
     print(
         f"  router: {router.get('connections', 0)} connections, "
-        f"{router.get('in_flight', 0)} in flight, "
-        f"{router.get('unavailable_synthesized', 0)} shed unavailable"
+        f"{router.get('in_flight', 0)} ops in flight"
     )
     reloads = status.get("reloads", {})
     print(
@@ -1821,10 +1820,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.0,
         metavar="RATE",
-        help="router-originated distributed-trace sampling: this "
-        "fraction of routed requests gets a router span plus a child "
-        "worker span, joinable via GET /trace/<id> or `repro trace "
-        "<id> --connect` (default 0.0)",
+        help="worker-originated distributed-trace sampling: every "
+        "worker gets --trace-sample-rate RATE, and a sampled "
+        "decision's spans are joinable via GET /trace/<id> or `repro "
+        "trace <id> --connect` (default 0.0)",
     )
     cluster_start.add_argument(
         "--audit-dir",

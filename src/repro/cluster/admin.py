@@ -13,14 +13,16 @@ aggregates:
 ``GET /health``            merged health: 200 only when every worker is
                            healthy *and* all serve one policy generation
 ``GET /status``            supervisor view: worker states/pids/ports/
-                           restarts, router shard stats, reload counters
+                           restarts, membership and each worker's
+                           request count (``router.workers.<name>.routed``),
+                           reload counters
 ``GET /dump``              interleaved flight-recorder tails (``?limit=``),
                            each entry labelled with its shard
-``GET /traces``            recent trace ids the router sampled
+``GET /traces``            recent trace ids the workers retained
                            (``?limit=``)
-``GET /trace/<id>``        one distributed trace joined across the
-                           router and every worker: a waterfall-ordered
-                           span list with parentage depth
+``GET /trace/<id>``        one distributed trace joined across every
+                           worker: a waterfall-ordered span list with
+                           parentage depth
 ``POST /reload``           cluster-wide two-phase reload; the body is the
                            candidate policy, ``?actor=&dry_run=1`` qualify
                            it.  200 when every worker activated, 422 when
@@ -102,7 +104,8 @@ class ClusterAdminServer(AdminHTTPServer):
                 json_body(health),
             )
         if path == "/status":
-            return 200, "application/json", json_body(supervisor.status())
+            status = await supervisor.cluster_status()
+            return 200, "application/json", json_body(status)
         if path in ("/dump", "/traces"):
             try:
                 limit = int_param(query, "limit")
@@ -111,7 +114,9 @@ class ClusterAdminServer(AdminHTTPServer):
             if path == "/dump":
                 entries = await supervisor.cluster_tail(limit=limit)
                 return 200, "application/json", json_body({"entries": entries})
-            trace_ids = supervisor.cluster_traces(50 if limit is None else limit)
+            trace_ids = await supervisor.cluster_traces(
+                50 if limit is None else limit
+            )
             return 200, "application/json", json_body({"trace_ids": trace_ids})
         if path.startswith("/trace/"):
             trace_id = path[len("/trace/"):]

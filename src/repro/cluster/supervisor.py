@@ -3,15 +3,16 @@
 One :class:`ClusterSupervisor` process forks N ``repro.cli serve``
 workers (each its own interpreter — its own GIL, asyncio loop, PDP,
 and admin sidecar, all on ephemeral ports) and fronts them with a
-:class:`~repro.cluster.router.ShardRouter`.  The supervisor owns the
+:class:`~repro.cluster.router.ShardRouter`, which answers the
+membership clients route decisions by.  The supervisor owns the
 control plane:
 
 * **Liveness** — a monitor task probes each worker (process exit and
-  a wire ``ping``); a dead worker's breaker opens immediately (its
-  key range sheds ``DENY_UNAVAILABLE``) while the worker is restarted
-  with exponential backoff.  Worker *names* ("w0".."wN-1") are ring
-  slots, so a restart keeps its key range — no cluster-wide reshuffle
-  for a crash.
+  a wire ``ping``); a dead worker is reported down in ``members`` at
+  once (clients shed its key range with ``DENY_UNAVAILABLE``) while it
+  is restarted with exponential backoff.  Worker *names*
+  ("w0".."wN-1") are ring slots, so a restart keeps its key range —
+  no cluster-wide reshuffle for a crash.
 * **Two-phase policy reload** — :meth:`reload_cluster` runs
   ``prepare`` on every worker (parse, lint, diff, *compile*, hold
   warm), and only when all of them accepted fans out ``activate``
@@ -20,14 +21,16 @@ control plane:
   text is replayed onto restarted workers, so a crash after a reload
   cannot resurrect the old policy on one shard.
 * **Live-ops aggregation** — merged Prometheus metrics (``shard``
-  labels), cluster health (including generation-skew detection), and
-  interleaved flight-recorder tails, via the per-worker control
-  connections.
+  labels), cluster health (including generation-skew detection),
+  per-worker request counts, joined traces (workers originate them at
+  ``trace_sample_rate``), and interleaved flight-recorder tails, via
+  the per-worker control connections.
 """
 
 from __future__ import annotations
 
 import asyncio
+import itertools
 import os
 import re
 import sys
@@ -140,12 +143,15 @@ class ClusterSupervisor:
         self.audit_dir = audit_dir
         if audit_dir is not None:
             os.makedirs(audit_dir, exist_ok=True)
+        if not 0.0 <= trace_sample_rate <= 1.0:
+            raise ServiceError("trace_sample_rate must be in [0, 1]")
+        #: Head-sampling rate every worker originates traces at.
+        self.trace_sample_rate = trace_sample_rate
         self.router = ShardRouter(
             host=host,
             port=router_port,
             vnodes=vnodes,
             reload_handler=self._wire_reload,
-            trace_sample_rate=trace_sample_rate,
         )
         self._workers: Dict[str, WorkerHandle] = {
             f"w{i}": WorkerHandle(f"w{i}") for i in range(workers)
@@ -253,6 +259,8 @@ class ClusterSupervisor:
             "--admin-port", "0",
             "--drain-timeout", str(self.drain_timeout_s),
         ]
+        if self.trace_sample_rate > 0:
+            argv += ["--trace-sample-rate", str(self.trace_sample_rate)]
         if self.audit_dir is not None:
             # One chain per worker: a restarted worker resumes its own
             # file's head, so the chain survives crashes without any
@@ -587,6 +595,7 @@ class ClusterSupervisor:
     # Live-ops aggregation
     # ------------------------------------------------------------------
     def status(self) -> Dict[str, Any]:
+        """Worker table, router view and reload counters (no I/O)."""
         return {
             "workers": {
                 name: self._workers[name].describe()
@@ -598,6 +607,17 @@ class ClusterSupervisor:
                 "rejected": self.reloads_rejected,
             },
         }
+
+    async def cluster_status(self) -> Dict[str, Any]:
+        """:meth:`status` plus each worker's request count under
+        ``router.workers.<name>.routed`` — decisions reach workers
+        directly, so the workers' own counters are the routed ones."""
+        status = self.status()
+        reports = await self._each_ready(lambda c: c.stats())
+        for name, row in status["router"]["workers"].items():
+            report = reports.get(name)
+            row["routed"] = report["requests"] if report else 0
+        return status
 
     async def _each_ready(self, call) -> Dict[str, Any]:
         """``{name: result-or-None}`` of ``call(client)`` per worker."""
@@ -637,19 +657,15 @@ class ClusterSupervisor:
         }
 
     async def cluster_trace(self, trace_id: str) -> Dict[str, Any]:
-        """Join one trace across the router and every ready worker.
+        """Join one trace across every ready worker.
 
-        The router holds its own ``router.route`` spans in-process;
-        each worker is asked over the control connection for the spans
-        its PDP retained (``pdp.decide`` / ``pdp.cache_hit``).  The
+        Each worker is asked over the control connection for the spans
+        its PDP retained (``pdp.decide`` / ``pdp.cache_hit``); the
         result is one waterfall-ordered span list (see
         :func:`~repro.cluster.liveops.join_trace`) — the cross-process
         view no single process can produce alone.
         """
-        reports: Dict[str, Optional[List[Dict[str, Any]]]] = dict(
-            await self._each_ready(lambda c: c.trace(trace_id))
-        )
-        reports["router"] = self.router.find_trace(trace_id)
+        reports = await self._each_ready(lambda c: c.trace(trace_id))
         spans = join_trace(reports)
         return {
             "trace_id": trace_id,
@@ -660,9 +676,16 @@ class ClusterSupervisor:
             ),
         }
 
-    def cluster_traces(self, limit: int = 50) -> List[str]:
-        """Recent trace ids the router sampled or propagated."""
-        return self.router.recent_traces(limit)
+    async def cluster_traces(self, limit: int = 50) -> List[str]:
+        """Recent trace ids the workers retained, newest first per
+        worker, interleaved across workers."""
+        reports = await self._each_ready(lambda c: c.traces(limit))
+        lists = [ids for _, ids in sorted(reports.items()) if ids]
+        merged: List[str] = []
+        for row in itertools.zip_longest(*lists):
+            merged += [trace_id for trace_id in row
+                       if trace_id is not None and trace_id not in merged]
+        return merged[:limit]
 
     async def cluster_tail(
         self, limit: Optional[int] = None

@@ -13,7 +13,7 @@ subcommands.  See ``docs/SERVICE.md`` for the architecture.
 
 from repro.service.admin import AdminServer
 from repro.service.cache import DecisionCache
-from repro.service.client import RemotePDPClient
+from repro.service.client import CircuitBreaker, RemotePDPClient
 from repro.service.loadgen import (
     ClientPool,
     attach_revocation_probe,
@@ -40,6 +40,7 @@ from repro.service.server import PDPServer
 
 __all__ = [
     "AdminServer",
+    "CircuitBreaker",
     "ClientPool",
     "DecisionCache",
     "InternTables",

@@ -82,8 +82,8 @@ class LoadgenResult:
     denies: int = 0
     shed: int = 0
     timeouts: int = 0
-    #: Explicit ``DENY_UNAVAILABLE`` answers — the cluster router's
-    #: "your shard is down/circuit-broken" refusal.  Counted apart
+    #: Explicit ``DENY_UNAVAILABLE`` answers — the client's "this
+    #: request's worker is down/circuit-broken" refusal.  Counted apart
     #: from ``errors`` because, like sheds, they are sanctioned
     #: backpressure, not protocol failures.
     unavailable: int = 0

@@ -72,7 +72,9 @@ from typing import (
 from repro.core.audit import HashChainWriter
 from repro.core.decision import AccessRequest, Decision
 from repro.core.mediation import MediationEngine
+from repro.core.permissions import Sign
 from repro.core.policy import GrbacPolicy
+from repro.core.roles import ANY_ENVIRONMENT
 from repro.exceptions import PolicyStoreError, ServiceError
 from repro.obs.export import (
     TraceSampler,
@@ -113,9 +115,9 @@ class PDPOutcome(str, enum.Enum):
     DENY_OVERLOAD = "deny-overload"
     DENY_TIMEOUT = "deny-timeout"
     DENY_UNKNOWN_TENANT = "deny-unknown-tenant"
-    #: The shard a request routes to is down or circuit-broken; the
-    #: cluster router synthesizes this instead of letting the client
-    #: hang.  Like every service refusal it reports ``granted=False``.
+    #: The worker a request routes to is down, circuit-broken or lost
+    #: the link mid-request; the client synthesizes this instead of
+    #: hanging.  Like every service refusal it reports ``granted=False``.
     DENY_UNAVAILABLE = "deny-unavailable"
     ERROR = "error"
 
@@ -299,6 +301,34 @@ class _TenantState:
     latency_count: int = 0
 
 
+#: policy -> (decision revision, environment role -> transactions of
+#: the DENY permissions its activation arms).
+_ARMED_DENIES: "weakref.WeakKeyDictionary[GrbacPolicy, tuple]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _armed_denies(policy: GrbacPolicy) -> Dict[str, FrozenSet[str]]:
+    """Environment role -> transactions of the DENY permissions that
+    are active once it is: those conditioned on it or on one of its
+    generalisations.  Built once per policy revision."""
+    revision = policy.decision_revision
+    memo = _ARMED_DENIES.get(policy)
+    if memo is not None and memo[0] == revision:
+        return memo[1]
+    index: Dict[str, Set[str]] = {}
+    hierarchy = policy.environment_roles
+    for permission in policy.permissions():
+        role = permission.environment_role
+        if permission.sign is not Sign.DENY or role == ANY_ENVIRONMENT:
+            continue
+        for armed in {role, *hierarchy.specializations(role)}:
+            index.setdefault(armed.name, set()).add(permission.transaction.name)
+    frozen = {name: frozenset(names) for name, names in index.items()}
+    _ARMED_DENIES[policy] = (revision, frozen)
+    return frozen
+
+
 @dataclass(frozen=True)
 class SessionGrant:
     """One pushed-revocation subscription: a live grant being watched.
@@ -325,6 +355,10 @@ class SessionGrant:
     #: Environment roles active when the grant was rendered.
     roles: FrozenSet[str]
     tenant: str = DEFAULT_TENANT
+    #: The request the grant answered — re-mediated when an activation
+    #: arms a DENY on its transaction.  ``None``: rebuilt from the
+    #: subject, transaction and object.
+    request: Optional[AccessRequest] = field(default=None, compare=False)
 
 
 class SessionGrantTable:
@@ -423,6 +457,34 @@ class SessionGrantTable:
         postings = self._by_role.pop(role, None)
         if not postings:
             return []
+        return self._withdraw(postings, role, reason, ts, skip_role=role)
+
+    def revoke_grants(
+        self, grants: Sequence[SessionGrant], role: str, reason: str, ts: float
+    ) -> List[SessionGrant]:
+        """Withdraw ``grants`` — ``role``'s activation now denies them —
+        and push each one, naming ``role``."""
+        if not grants:
+            return []
+        keys = {(grant.session_id, grant.grant_id) for grant in grants}
+        return self._withdraw(keys, role, reason, ts)
+
+    def standing(self) -> List[SessionGrant]:
+        """Every grant being watched, oldest first per session."""
+        return [
+            grant
+            for grants in self._sessions.values()
+            for grant in grants.values()
+        ]
+
+    def _withdraw(
+        self,
+        postings: Set[Tuple[object, object]],
+        role: str,
+        reason: str,
+        ts: float,
+        skip_role: str = "",
+    ) -> List[SessionGrant]:
         revoked: List[SessionGrant] = []
         for session_id, grant_id in sorted(
             postings, key=lambda key: (repr(key[0]), repr(key[1]))
@@ -453,7 +515,7 @@ class SessionGrantTable:
                 except Exception:  # noqa: BLE001 - a dead writer, not us
                     self.push_errors += 1
         for grant in revoked:
-            self._unindex(grant, skip_role=role)
+            self._unindex(grant, skip_role=skip_role)
         return revoked
 
     def _unindex(self, grant: SessionGrant, skip_role: str = "") -> None:
@@ -467,6 +529,11 @@ class SessionGrantTable:
             postings.discard(key)
             if not postings:
                 del self._by_role[role]
+
+    @property
+    def watching(self) -> bool:
+        """Whether any grant is watched (every one rests on a role)."""
+        return bool(self._by_role)
 
     @property
     def sessions(self) -> int:
@@ -937,8 +1004,20 @@ class PolicyDecisionPoint:
         supported.  Delivery is synchronous on the bus's publish path:
         by the time the event has fanned out, the table no longer
         holds the grant and every push callback has run.
+
+        ``role.activated`` events withdraw what a newly armed DENY
+        forbids.  A grant's supporting roles are the roles active when
+        it was rendered, so a role that was inactive then can never
+        reach it through :meth:`SessionGrantTable.revoke_role`: when X
+        activates and a tenant's policy has a DENY conditioned on X or
+        on a generalisation of X, the standing grants on that DENY's
+        transactions are re-mediated against the live environment and
+        the ones that now deny are revoked, naming X.  Any other
+        activation costs one set lookup per tenant (none while no grant
+        is watched).
         """
         bus.subscribe("role.deactivated", self._on_role_deactivated)
+        bus.subscribe("role.activated", self._on_role_activated)
 
     def _on_role_deactivated(self, event) -> None:
         role = event.get("role")
@@ -955,6 +1034,40 @@ class PolicyDecisionPoint:
                 hub.emit(
                     "pdp.revocations", role=role, grants=len(revoked)
                 )
+
+    def _on_role_activated(self, event) -> None:
+        role = event.get("role")
+        if not role or not self.grants.watching:
+            return
+        armed: List[Tuple[str, MediationEngine, FrozenSet[str]]] = []
+        for tenant in list(self._tenants):
+            resolved = self._resolve_tenant(tenant)
+            if resolved is None:
+                continue
+            engine = resolved[0]
+            transactions = _armed_denies(engine.policy).get(role)
+            if transactions:
+                armed.append((tenant, engine, transactions))
+        if not armed:
+            return
+        doomed: List[SessionGrant] = []
+        for grant in self.grants.standing():
+            for tenant, engine, transactions in armed:
+                if grant.tenant != tenant or grant.transaction not in transactions:
+                    continue
+                request = grant.request or AccessRequest(
+                    grant.transaction, grant.obj, subject=grant.subject
+                )
+                if not engine.decide(request).granted:
+                    doomed.append(grant)
+        revoked = self.grants.revoke_grants(
+            doomed, role, f"environment role '{role}' activated", time.time()
+        )
+        if revoked:
+            self._m_revocations.inc(len(revoked))
+            hub = self.observers
+            if hub:
+                hub.emit("pdp.revocations", role=role, grants=len(revoked))
 
     def record_revocation_latency(self, seconds: float) -> None:
         """Record one flip-to-delivery revocation latency observation.
@@ -996,7 +1109,7 @@ class PolicyDecisionPoint:
             engine.  A tenant this PDP does not serve answers
             DENY_UNKNOWN_TENANT — explicitly, never as a crash.
         :param trace_ctx: distributed trace context propagated from an
-            upstream hop (router or client).  Its head-sampling flag is
+            upstream hop (the client).  Its head-sampling flag is
             *obeyed* — this PDP never re-rolls the decision — so a
             cross-process trace is complete or absent, never partial.
             ``None`` falls back to local head sampling, originating a
@@ -1763,7 +1876,7 @@ class PolicyDecisionPoint:
         """This process's retained spans for ``trace_id`` (maybe []).
 
         Only spans this PDP emitted — the cluster admin joins these
-        with the router's own spans for the cross-process waterfall.
+        with the other workers' spans for the cross-process waterfall.
         """
         return self.spans.get(trace_id)
 

@@ -1103,7 +1103,8 @@ def splice_line_trace(line: bytes, trace: TraceContext) -> bytes:
 
 
 def encode_unavailable(request_id: Any, detail: str) -> Dict[str, Any]:
-    """NDJSON ``DENY_UNAVAILABLE`` payload a router answers with.
+    """NDJSON ``DENY_UNAVAILABLE`` payload a client synthesizes for an
+    unreachable worker.
 
     Shaped exactly like :func:`encode_response` output so
     :func:`decode_response` and every client treat it as a normal
@@ -1119,20 +1120,3 @@ def encode_unavailable(request_id: Any, detail: str) -> Dict[str, Any]:
         "rationale": detail,
     }
 
-
-def encode_binary_unavailable(request_id: Any, detail: str) -> bytes:
-    """Binary ``DENY_UNAVAILABLE`` frame a router answers with."""
-    wire_id = (
-        request_id
-        if isinstance(request_id, int) and 0 <= request_id < NO_REQUEST_ID
-        else NO_REQUEST_ID
-    )
-    body = _RESPONSE_FIXED.pack(
-        wire_id,
-        _OUTCOME_CODES[PDPOutcome.DENY_UNAVAILABLE],
-        0,
-        0,
-        0,
-        0.0,
-    ) + detail.encode("utf-8")
-    return frame(KIND_RESPONSE, body)

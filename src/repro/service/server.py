@@ -42,6 +42,7 @@ import asyncio
 import time
 from typing import Callable, Dict, Optional
 
+from repro.cluster.ring import DEFAULT_VNODES
 from repro.exceptions import ServiceError
 from repro.service.pdp import (
     DEFAULT_TENANT,
@@ -301,16 +302,26 @@ class PDPServer:
     def _op_ping(self, payload: dict, connection: "_Connection") -> dict:
         return {"op": "pong"}
 
+    def _op_members(self, payload: dict, connection: "_Connection") -> dict:
+        # A plain server is a ring of one: itself, at the address the
+        # asking connection reached it on.  A client therefore has one
+        # decision path, to a server or to a cluster's workers.
+        host, port = connection.transport.get_extra_info("sockname")[:2]
+        return {
+            "op": "members",
+            "vnodes": DEFAULT_VNODES,
+            "members": {"self": [host, port]},
+        }
+
     def _op_intern(self, payload: dict, connection: "_Connection") -> dict:
         # Hand out (and pin, for this connection) the integer id
         # tables the binary request lane encodes against.  Re-issuing
         # the op after a policy change refreshes them.  An optional
         # "tenant" interns against that tenant's active policy instead
-        # of the default engine's.  A client (or the shard router,
-        # replaying a handshake to a fresh worker connection) may
-        # instead *provide* tables; they are pinned verbatim so the
-        # same ids decode to the same names on every connection of a
-        # session, even across worker restarts or reloads.
+        # of the default engine's.  A client may instead *provide*
+        # tables (replaying a handshake on a fresh connection); they
+        # are pinned verbatim so the same ids decode to the same names
+        # on every connection of a session, even across reloads.
         if payload.get("tables") is not None:
             interned = InternTables.from_payload(payload)
         else:
@@ -333,8 +344,14 @@ class PDPServer:
     def _op_trace(self, payload: dict, connection: "_Connection") -> dict:
         # Span lookup for one distributed trace: the cluster admin (or
         # a debugging client) asks each worker for the spans it
-        # retained for a trace id and joins them with the router's.
+        # retained for a trace id and joins them.  Without a trace id
+        # it lists the retained ones, newest first.
         trace_id = payload.get("trace_id")
+        if trace_id is None:
+            limit = payload.get("limit")
+            if limit is not None and (not isinstance(limit, int) or limit < 0):
+                raise ServiceError("'limit' must be a non-negative integer")
+            return {"op": "trace", "trace_ids": self.pdp.recent_traces(limit)}
         if not isinstance(trace_id, str) or not trace_id:
             raise ServiceError("'trace_id' must be a non-empty string")
         return {
@@ -581,6 +598,7 @@ class PDPServer:
 
     _OPS: Dict[str, Callable[["PDPServer", dict, "_Connection"], dict]] = {
         "ping": _op_ping,
+        "members": _op_members,
         "intern": _op_intern,
         "tenants": _op_tenants,
         "stats": _op_stats,
@@ -779,6 +797,7 @@ class _Connection(WireConnection):
                 obj=request.obj,
                 roles=frozenset(response.decision.environment_roles),
                 tenant=response.tenant,
+                request=request,
             )
         )
 

@@ -3,8 +3,8 @@
 :class:`WireConnection` is the ``asyncio.BufferedProtocol`` every
 endpoint of the PDP wire is built on:
 :class:`~repro.service.server.PDPServer`'s per-connection state,
-:class:`~repro.service.client.RemotePDPClient`, and both sides of
-:class:`~repro.cluster.router.ShardRouter`'s relay.  It owns what every
+:class:`~repro.service.client.RemotePDPClient`'s links, and
+:class:`~repro.cluster.router.ShardRouter`'s control sessions.  It owns what every
 endpoint would otherwise pay an allocation per read, or a coroutine, a
 lock and a ``drain()`` per message for:
 
@@ -37,9 +37,8 @@ lock and a ``drain()`` per message for:
   output is therefore bounded by the high-water mark plus the answers
   to one read.  :meth:`pause_reading` / :meth:`resume_reading` nest and
   stop *delivery*, not just the socket — what was read meanwhile waits
-  in the buffer — so a relay (the shard router) can stop one side for
-  exactly as long as the other cannot write, or while it awaits
-  something the stream must not overtake.
+  in the buffer — so an endpoint (the cluster router) can hold a
+  stream while it awaits something the stream must not overtake.
 
 A connection may be written before it exists: until ``connection_made``
 :meth:`write` only queues, and the queue leaves in the first write.
@@ -64,8 +63,8 @@ from repro.service.protocol import (
 _HEADER_BYTES = FRAME_HEADER.size
 
 #: Size of every connection's read buffer, and so the most one read
-#: takes off the socket.  Every open connection holds one (the router
-#: 1 + workers per client session); a closed-loop read is ≈ 1 KiB.
+#: takes off the socket.  Every open connection holds one (a cluster
+#: client one per worker link); a closed-loop read is ≈ 1 KiB.
 READ_BUFFER_BYTES = 16 * 1024
 
 

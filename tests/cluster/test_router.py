@@ -1,23 +1,26 @@
-"""ShardRouter behavior against in-process PDP workers.
+"""The cluster's decision path and the router's control plane.
 
 No subprocesses here: workers are in-process :class:`PDPServer`
-instances (plus a few hand-rolled misbehaving listeners), so these
-tests pin the router's protocol behavior — shard affinity, both wire
-formats, unavailable-shedding, breaker state — fast and
-deterministically.  Real fork/exec lifecycles live in
-``test_supervisor.py``.
+instances (plus a hand-rolled misbehaving listener), so these tests
+pin the protocol behavior — the client routing each decision straight
+to its worker on the router's ring, both wire formats,
+unavailable-shedding and breaker state on the client, control ops on
+the router — fast and deterministically.  Real fork/exec lifecycles
+live in ``test_supervisor.py``.
 """
 
 from __future__ import annotations
 
 import asyncio
+import socket
 
 import pytest
 
-from repro.cluster import CircuitBreaker, ShardRouter
+from repro.cluster import ShardRouter
 from repro.core import AccessRequest, MediationEngine
 from repro.exceptions import ServiceError
 from repro.service import (
+    CircuitBreaker,
     PDPConfig,
     PDPOutcome,
     PDPServer,
@@ -54,6 +57,22 @@ async def stop_cluster(router, servers):
         await server.stop()
 
 
+def requests_by_worker(servers):
+    """Decisions each worker was asked for, by slot name."""
+    return {
+        f"w{i}": server.pdp.stats()["requests"]
+        for i, server in enumerate(servers)
+    }
+
+
+def dead_port() -> int:
+    placeholder = socket.socket()
+    placeholder.bind(("127.0.0.1", 0))
+    port = placeholder.getsockname()[1]
+    placeholder.close()  # nothing listens here any more
+    return port
+
+
 # ----------------------------------------------------------------------
 # Routing
 # ----------------------------------------------------------------------
@@ -70,41 +89,43 @@ def test_ndjson_decisions_route_and_answer(tv_policy) -> None:
                 )
                 results[subject] = response.outcome
             await client.close()
-            return results, router.stats()
+            return results, requests_by_worker(servers), router.stats()
         finally:
             await stop_cluster(router, servers)
 
-    results, stats = asyncio.run(scenario())
+    results, routed, stats = asyncio.run(scenario())
     assert results["alice"] is PDPOutcome.GRANT
     assert results["bobby"] is PDPOutcome.GRANT
     assert results["mom"] is PDPOutcome.DENY
-    routed = {w: row["routed"] for w, row in stats["workers"].items()}
+    # Four decisions, each on exactly one worker; none on the router.
     assert sum(routed.values()) == len(SUBJECTS)
-    # Four distinct subjects across two workers: the ring splits them.
-    assert all(count >= 0 for count in routed.values())
     assert stats["unavailable_synthesized"] == 0
 
 
 def test_subject_affinity_is_stable(tv_policy) -> None:
-    """The same subject always lands on the same worker (cache locality)."""
+    """The same subject always lands on the worker the router's ring
+    names (cache locality)."""
 
     async def scenario():
         router, servers = await start_cluster(tv_policy)
         try:
             client = await RemotePDPClient.connect("127.0.0.1", router.port)
             owner = router.ring.route("alice")
-            before = router.routed[owner]
+            before = requests_by_worker(servers)[owner]
             for _ in range(10):
                 await client.decide(
                     AccessRequest("watch", "livingroom/tv", subject="alice"),
                     environment_roles={"free-time"},
                 )
+            routed = client.route("alice")
             await client.close()
-            return router.routed[owner] - before
+            return owner, routed, requests_by_worker(servers)[owner] - before
         finally:
             await stop_cluster(router, servers)
 
-    assert asyncio.run(scenario()) == 10
+    owner, routed, landed = asyncio.run(scenario())
+    assert routed == owner
+    assert landed == 10
 
 
 def test_binary_wire_through_router(tv_policy) -> None:
@@ -126,18 +147,16 @@ def test_binary_wire_through_router(tv_policy) -> None:
                 )
             )
             await client.close()
-            return responses, router.stats()
+            return responses, requests_by_worker(servers)
         finally:
             await stop_cluster(router, servers)
 
-    responses, stats = asyncio.run(scenario())
+    responses, routed = asyncio.run(scenario())
     assert len(responses) == 20
     assert all(
         r.outcome in (PDPOutcome.GRANT, PDPOutcome.DENY) for r in responses
     )
-    # Both workers saw traffic (4 subjects spread over the ring).
-    routed = [row["routed"] for row in stats["workers"].values()]
-    assert sum(routed) >= 20
+    assert sum(routed.values()) == 20
 
 
 def test_tenant_key_takes_precedence_over_subject(tv_policy) -> None:
@@ -147,41 +166,60 @@ def test_tenant_key_takes_precedence_over_subject(tv_policy) -> None:
         router, servers = await start_cluster(tv_policy, n=4)
         try:
             owner = router.ring.route("sharedtenant")
-            reader, writer = await asyncio.open_connection(
-                "127.0.0.1", router.port
-            )
-            from repro.service.protocol import dumps_line, parse_line
-
-            for i, subject in enumerate(SUBJECTS):
-                writer.write(
-                    dumps_line(
-                        {
-                            "id": i,
-                            "subject": subject,
-                            "transaction": "watch",
-                            "object": "livingroom/tv",
-                            "tenant": "sharedtenant",
-                        }
-                    )
-                )
-            await writer.drain()
+            client = await RemotePDPClient.connect("127.0.0.1", router.port)
             responses = [
-                parse_line(await reader.readline()) for _ in SUBJECTS
+                await client.decide(
+                    AccessRequest("watch", "livingroom/tv", subject=subject),
+                    tenant="sharedtenant",
+                )
+                for subject in SUBJECTS
             ]
-            writer.close()
-            return owner, router.routed, responses
+            await client.close()
+            return owner, requests_by_worker(servers), responses
         finally:
             await stop_cluster(router, servers)
 
     owner, routed, responses = asyncio.run(scenario())
     # All four landed on the tenant's owner, no matter the subject.
     assert routed[owner] == len(SUBJECTS)
-    assert all(
-        routed[w] == 0 for w in routed if w != owner
-    )
+    assert all(routed[w] == 0 for w in routed if w != owner)
     # The workers don't serve that tenant; the *answer* is a clean
     # refusal either way — routing never invents grants.
-    assert all(resp["granted"] is False for resp in responses)
+    assert all(
+        r.outcome is PDPOutcome.DENY_UNKNOWN_TENANT and not r.granted
+        for r in responses
+    )
+
+
+def test_a_decision_sent_to_the_router_is_refused_not_relayed(tv_policy) -> None:
+    async def scenario():
+        router, servers = await start_cluster(tv_policy)
+        try:
+            from repro.service.protocol import dumps_line, parse_line
+
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", router.port
+            )
+            writer.write(
+                dumps_line(
+                    {
+                        "id": 77,
+                        "subject": "alice",
+                        "transaction": "watch",
+                        "object": "livingroom/tv",
+                    }
+                )
+            )
+            refused = parse_line(await reader.readline())
+            writer.close()
+            return refused, requests_by_worker(servers)
+        finally:
+            await stop_cluster(router, servers)
+
+    refused, routed = asyncio.run(scenario())
+    assert refused["id"] == 77 and "members" in refused["error"]
+    assert "granted" not in refused
+    assert sum(routed.values()) == 0
 
 
 # ----------------------------------------------------------------------
@@ -191,22 +229,13 @@ def test_dead_worker_sheds_deny_unavailable(tv_policy) -> None:
     """A connect-refused worker answers DENY_UNAVAILABLE, not a hang."""
 
     async def scenario():
-        import socket
-
-        placeholder = socket.socket()
-        placeholder.bind(("127.0.0.1", 0))
-        dead_port = placeholder.getsockname()[1]
-        placeholder.close()  # nothing listens here any more
-
         server = make_server(tv_policy)
         await server.start()
         router = ShardRouter(
             {
                 "w0": ("127.0.0.1", server.port),
-                "w1": ("127.0.0.1", dead_port),
-            },
-            failure_threshold=1,
-            cooldown_s=30.0,
+                "w1": ("127.0.0.1", dead_port()),
+            }
         )
         await router.start()
         try:
@@ -222,39 +251,33 @@ def test_dead_worker_sheds_deny_unavailable(tv_policy) -> None:
                     ),
                     timeout=5.0,
                 )
-                outcomes[router.ring.route(subject)] = (
-                    outcomes.get(router.ring.route(subject), [])
-                    + [response.outcome]
+                outcomes.setdefault(client.route(subject), []).append(
+                    response.outcome
                 )
             await client.close()
-            return outcomes, router.stats()
+            return outcomes, client.breakers
         finally:
             await router.stop()
             await server.stop()
 
-    outcomes, stats = asyncio.run(scenario())
-    for outcome in outcomes.get("w1", []):
+    outcomes, breakers = asyncio.run(scenario())
+    assert outcomes.get("w1"), "some subject hashes to the dead worker"
+    for outcome in outcomes["w1"]:
         assert outcome is PDPOutcome.DENY_UNAVAILABLE
     for outcome in outcomes.get("w0", []):
         assert outcome is not PDPOutcome.DENY_UNAVAILABLE
-    assert stats["workers"]["w1"]["breaker"] == "open"
-    assert stats["unavailable_synthesized"] == len(
-        outcomes.get("w1", [])
-    )
+    # One refused dial at connect, one per decision that tried again.
+    assert breakers["w1"].failures == 1 + len(outcomes["w1"])
+    assert breakers["w0"].state() == "closed"
 
 
 def test_midflight_death_synthesizes_for_outstanding(tv_policy) -> None:
     """A worker dying with requests in flight answers them all."""
 
     async def scenario():
-        from repro.service.protocol import parse_line
-
-        accepted = []
-
         async def black_hole(reader, writer):
             # Read one line, then drop the connection with the request
             # still unanswered — a crash mid-request.
-            accepted.append(writer)
             await reader.readline()
             writer.close()
 
@@ -263,51 +286,31 @@ def test_midflight_death_synthesizes_for_outstanding(tv_policy) -> None:
         router = ShardRouter({"w0": ("127.0.0.1", trap_port)})
         await router.start()
         try:
-            reader, writer = await asyncio.open_connection(
-                "127.0.0.1", router.port
+            client = await RemotePDPClient.connect("127.0.0.1", router.port)
+            response = await asyncio.wait_for(
+                client.decide(
+                    AccessRequest("watch", "livingroom/tv", subject="alice")
+                ),
+                timeout=5.0,
             )
-            from repro.service.protocol import dumps_line
-
-            writer.write(
-                dumps_line(
-                    {
-                        "id": 77,
-                        "subject": "alice",
-                        "transaction": "watch",
-                        "object": "livingroom/tv",
-                    }
-                )
-            )
-            await writer.drain()
-            line = await asyncio.wait_for(reader.readline(), timeout=5.0)
-            writer.close()
-            return parse_line(line)
+            await client.close()
+            return response
         finally:
             trap.close()
             await router.stop()
 
     response = asyncio.run(scenario())
-    assert response["id"] == 77
-    assert response["outcome"] == "deny-unavailable"
-    assert response["granted"] is False
+    assert response.id == 1
+    assert response.outcome is PDPOutcome.DENY_UNAVAILABLE
+    assert response.granted is False
 
 
 def test_restarted_worker_resumes_traffic(tv_policy) -> None:
-    """set_worker with a fresh address closes the breaker and routes."""
+    """set_worker with a fresh address: the client's next reconnect
+    fetches members first and finds the new port."""
 
     async def scenario():
-        import socket
-
-        placeholder = socket.socket()
-        placeholder.bind(("127.0.0.1", 0))
-        dead_port = placeholder.getsockname()[1]
-        placeholder.close()
-
-        router = ShardRouter(
-            {"w0": ("127.0.0.1", dead_port)},
-            failure_threshold=1,
-            cooldown_s=60.0,
-        )
+        router = ShardRouter({"w0": ("127.0.0.1", dead_port())})
         await router.start()
         replacement = make_server(tv_policy)
         await replacement.start()
@@ -319,7 +322,7 @@ def test_restarted_worker_resumes_traffic(tv_policy) -> None:
             first = await client.decide(
                 request, environment_roles={"free-time"}
             )
-            # "Restart": same slot name, new address, breaker reset.
+            # "Restart": same slot name, new address.
             router.set_worker("w0", "127.0.0.1", replacement.port)
             second = await client.decide(
                 request, environment_roles={"free-time"}
@@ -396,8 +399,16 @@ def test_reload_delegated_to_handler(tv_policy) -> None:
 
 
 # ----------------------------------------------------------------------
-# CircuitBreaker unit behavior
+# CircuitBreaker unit behavior (an injected clock, no sleeping)
 # ----------------------------------------------------------------------
+class Clock:
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        return self.now
+
+
 def test_breaker_opens_after_threshold() -> None:
     breaker = CircuitBreaker(failure_threshold=3, cooldown_s=60.0)
     breaker.record_failure()
@@ -410,12 +421,11 @@ def test_breaker_opens_after_threshold() -> None:
 
 
 def test_breaker_half_opens_after_cooldown_and_recloses() -> None:
-    breaker = CircuitBreaker(failure_threshold=1, cooldown_s=0.01)
+    clock = Clock()
+    breaker = CircuitBreaker(failure_threshold=1, cooldown_s=0.01, clock=clock)
     breaker.record_failure()
     assert breaker.open
-    import time
-
-    time.sleep(0.02)
+    clock.now += 0.02
     assert not breaker.open  # half-open: probes may pass
     assert breaker.state() == "half-open"
     breaker.record_success()
@@ -424,11 +434,10 @@ def test_breaker_half_opens_after_cooldown_and_recloses() -> None:
 
 
 def test_breaker_reopen_from_half_open() -> None:
-    breaker = CircuitBreaker(failure_threshold=1, cooldown_s=0.01)
+    clock = Clock()
+    breaker = CircuitBreaker(failure_threshold=1, cooldown_s=0.01, clock=clock)
     breaker.record_failure()
-    import time
-
-    time.sleep(0.02)
+    clock.now += 0.02
     assert breaker.state() == "half-open"
     breaker.record_failure()
     assert breaker.open  # the failed probe re-stamps opened_at

@@ -1,17 +1,17 @@
-"""The shard router on the one connection stack.
+"""The cluster's two connection paths: control through the router,
+decisions straight from the client to their worker.
 
-Both sides of the relay are :class:`WireConnection` protocols, so what
-the old per-connection coroutines got from blocking has to hold by
-construction.  These tests pin it: (a) a fresh upstream is written
-before it connects — table pin first — and a refused connect answers
-what was queued; (b) backpressure is paired across session and
-upstreams; (c) a reload holds its own session's stream, and only that;
-(d) a half-closed client is still answered, and closed behind its last
-answer — even when that is the router's own table pin, or the last of
-a dead worker's synthesized answers.  Two defects the stream-based
-relay had are pinned too: answers silently dropped on half-close, and
-requests that never returned once the intern tables outgrew one wire
-line.
+The client holds the ring (:class:`RemotePDPClient`), so what the
+relay used to guarantee must now hold on the client → worker links:
+(a) a member that cannot be reached answers every decision for its
+key range with ``DENY_UNAVAILABLE`` — in flight, refused at connect or
+killed — and its breaker sheds until its clock passes the cooldown;
+(b) backpressure is per link: a peer that stops reading, or a worker
+that does, throttles only that link; (c) a half-closed stream is
+answered in full.  The router keeps the control plane, so a reload
+still holds its own session's stream, and only that; and whatever
+happens to the membership, the client routes each key to the slot the
+router's ring names.
 
 Workers are in-process :class:`PDPServer` instances, or a hand-rolled
 :class:`ScriptedWorker` where a test needs one that misbehaves.
@@ -30,9 +30,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ShardRouter
-from repro.cluster.router import ROUTER_INTERN_ID, _Session
+from repro.cluster.router import NOT_RELAYED, _Session
 from repro.core import AccessRequest, GrbacPolicy, MediationEngine
-from repro.exceptions import ServiceError
 from repro.service import (
     PDPConfig,
     PDPOutcome,
@@ -66,7 +65,6 @@ from tests.service.test_property_chunking import (
     op_line,
     requests,
     split_messages,
-    summarize,
 )
 from tests.service.test_property_pdp import build_policy
 
@@ -90,19 +88,30 @@ async def eventually(predicate, timeout_s: float = 10.0) -> None:
         await asyncio.sleep(0.005)
 
 
+class FakeClock:
+    """An injectable monotonic clock for client breakers."""
+
+    def __init__(self) -> None:
+        self.now = 1000.0
+
+    def __call__(self) -> float:
+        return self.now
+
+
+def make_server(policy=None) -> PDPServer:
+    return PDPServer(
+        PolicyDecisionPoint(
+            MediationEngine(policy if policy is not None else build_policy()),
+            PDPConfig(max_queue=FLOOD),
+        )
+    )
+
+
 class Cluster:
     """``n`` in-process workers behind a started router."""
 
     def __init__(self, n: int = 2, policy=None, **router_kwargs) -> None:
-        self.policy = policy if policy is not None else build_policy()
-        self.servers = [
-            PDPServer(
-                PolicyDecisionPoint(
-                    MediationEngine(self.policy), PDPConfig(max_queue=FLOOD)
-                )
-            )
-            for _ in range(n)
-        ]
+        self.servers = [make_server(policy) for _ in range(n)]
         self.router_kwargs = router_kwargs
         self.router: ShardRouter
 
@@ -121,6 +130,10 @@ class Cluster:
         for server in self.servers:
             await server.stop()
 
+    def requests(self) -> List[int]:
+        """Decisions each worker was asked for, by slot."""
+        return [server.pdp.stats()["requests"] for server in self.servers]
+
 
 def complete_messages(data: bytes) -> List:
     """The whole messages at the head of ``data`` (a cut tail ignored)."""
@@ -136,12 +149,19 @@ def complete_messages(data: bytes) -> List:
 class ScriptedWorker:
     """A listener that records what it is sent and answers only intern
     handshakes — optionally not reading at all until told to, or
-    hanging up once ``die_after`` decision messages have arrived."""
+    ending the connection (hanging up, or with ``half_close`` shutting
+    only its side) once ``die_after`` decision messages have arrived."""
 
-    def __init__(self, die_after: Optional[int] = None, reading: bool = True):
+    def __init__(
+        self,
+        die_after: Optional[int] = None,
+        reading: bool = True,
+        half_close: bool = False,
+    ):
         self.received = bytearray()
         self.newlines = 0
         self.die_after = die_after
+        self.half_close = half_close
         self.reading = asyncio.Event()
         if reading:
             self.reading.set()
@@ -184,6 +204,9 @@ class ScriptedWorker:
                 for lane, message in self.messages():
                     decisions += lane == "frame" or "op" not in message
                 if self.die_after is not None and decisions >= self.die_after:
+                    if self.half_close:
+                        writer.write_eof()
+                        await asyncio.Event().wait()  # until stopped
                     break
         except (ConnectionResetError, asyncio.CancelledError):
             pass
@@ -196,6 +219,14 @@ class ScriptedWorker:
         for handler in self._handlers:
             handler.cancel()
         await asyncio.gather(*self._handlers)
+
+
+def dead_port() -> int:
+    placeholder = socket.socket()
+    placeholder.bind(("127.0.0.1", 0))
+    port = placeholder.getsockname()[1]
+    placeholder.close()  # nothing listens here any more
+    return port
 
 
 async def open_client(port: int, handshake: bool = True):
@@ -224,9 +255,10 @@ async def read_messages(reader, expected: int, timeout_s: float = 10.0) -> List:
         data += chunk
 
 
-def verdicts(messages: Sequence) -> Dict:
-    """``(lane, id) -> outcome`` of the decision answers in ``messages``;
-    an id-less error frame is keyed ``("b", None)``."""
+def answers(messages: Sequence) -> Dict:
+    """``(lane, id) -> outcome`` of the answers in ``messages``: a
+    decision's outcome, or ``"error: ..."`` for a refusal and an op's
+    name for an op reply.  Every id is answered once."""
     out: Dict = {}
     for lane, message in messages:
         if lane == "frame":
@@ -240,15 +272,17 @@ def verdicts(messages: Sequence) -> Dict:
                 key, value = ("b", request_id), f"error: {text}"
         elif "outcome" in message:
             key, value = ("j", message["id"]), PDPOutcome(message["outcome"])
+        elif "op" in message:
+            key, value = ("j", message.get("id")), message["op"]
         else:
-            continue
+            key, value = ("j", message.get("id")), f"error: {message['error']}"
         assert key not in out, f"answered twice: {key}"
         out[key] = value
     return out
 
 
 def mixed_pipeline(n: int) -> bytes:
-    """``n`` NDJSON then ``n`` binary requests, alternating workers."""
+    """``n`` NDJSON then ``n`` binary requests, alternating subjects."""
     stream = bytearray()
     for index in range(n):
         subject = (ON_W0, ON_W1)[index % 2]
@@ -264,7 +298,7 @@ def mixed_pipeline(n: int) -> bytes:
 
 
 # ----------------------------------------------------------------------
-# Property: how the bytes were cut never changes the answers
+# Property: how the bytes were cut never changes the router's answers
 # ----------------------------------------------------------------------
 messages = st.one_of(
     st.tuples(st.just("json"), requests, envs),
@@ -272,14 +306,16 @@ messages = st.one_of(
     st.tuples(
         st.just("op"),
         st.sampled_from(
-            ["ping", "ready", "intern", "tenants", "no-such-op", "reload"]
+            ["ping", "members", "ready", "intern", "tenants", "no-such-op",
+             "reload"]
         ),
         st.sampled_from([b"\n", b"\r\n", b"\n\n"]),
     ),
 )
 #: Ops the router answers itself, in the read that delivered them; the
-#: rest are answered by the first worker, in the order it got them.
-LOCAL_OPS = {"ping", "no-such-op"}
+#: rest are answered by a worker (or the supervisor), each before
+#: anything behind it is read.
+LOCAL_OPS = {"ping", "members", "intern", "no-such-op"}
 
 
 def encode_stream(items) -> bytes:
@@ -300,14 +336,11 @@ async def deliver(
     expected: int,
     fills: Sequence[int] = (),
 ):
-    """Feed ``chunks`` to a fresh session of ``router`` (the handshake
-    answered first, as a client would wait for it); returns what the
-    session wrote, split into messages, in order."""
+    """Feed ``chunks`` to a fresh session of ``router``; returns what
+    the session wrote, split into messages, in order."""
     session = _Session(router)
     transport = FakeTransport()
     session.connection_made(transport)
-    feed(session, HANDSHAKE)
-    await eventually(lambda: b"\n" in transport.written)
     for chunk in chunks:
         feed(session, chunk, fills)
         if len(chunks) > 1:
@@ -319,7 +352,7 @@ async def deliver(
         return len(written) >= expected
 
     await eventually(complete)
-    await eventually(lambda: not session.in_flight)  # its own pins included
+    await eventually(lambda: not session.holding)
     complete()
     session.connection_lost(None)
     assert len(written) == expected, "answered more than it was asked"
@@ -340,7 +373,7 @@ async def deliver(
     cuts=range(1, 4096),
     fills=[],
 )
-@example(  # decisions for both workers pipelined behind a reload
+@example(  # decisions and ops pipelined behind a reload
     items=[
         ("json", request_for(ON_W0), ENV),
         ("op", "reload", b"\n"),
@@ -364,7 +397,7 @@ async def deliver(
 )
 def test_any_partition_yields_the_same_answers(items, cuts, fills) -> None:
     stream = encode_stream(items)
-    expected = len(items) + 1
+    expected = len(items)
 
     async def handler(payload):
         await asyncio.sleep(0)
@@ -379,129 +412,255 @@ def test_any_partition_yields_the_same_answers(items, cuts, fills) -> None:
             return whole, parts
 
     whole, parts = asyncio.run(scenario())
-    assert summarize(parts)[0] == summarize(whole)[0]  # per-id answers
+    assert answers(parts) == answers(whole)
+    kinds = {index: item[0] if item[0] != "op" else item[1]
+             for index, item in enumerate(items, 1)}
     for written in (whole, parts):
-        decisions, ops = summarize(written)
-        assert ("b", "error") not in decisions
-        assert len(decisions) + len(ops) == expected
-        assert ops[0][:2] == ("intern", 0)
-        kinds = {index: item[1] for index, item in enumerate(items, 1)
-                 if item[0] == "op"}
-        local = [op[1] for op in ops if kinds.get(op[1]) in LOCAL_OPS]
-        forwarded = [
-            op[1] for op in ops[1:]
-            if kinds.get(op[1]) not in LOCAL_OPS | {"reload"}
-        ]
-        assert local == sorted(local) and forwarded == sorted(forwarded)
-        # Nothing sent after a reload is answered before the reload is.
-        position = {
-            (message.get("id") if lane == "line"
-             else decode_binary_response(message[1]).id): where
-            for where, (lane, message) in enumerate(written)
+        by_id = answers(written)
+        assert set(by_id) == {
+            ("b" if kind == "binary" else "j", index)
+            for index, kind in kinds.items()
         }
         for index, kind in kinds.items():
-            if kind == "reload":
-                assert all(
-                    position[later] > position[index]
-                    for later in range(index + 1, len(items) + 1)
-                )
+            if kind in ("json", "binary"):  # never relayed, never granted
+                key = ("b" if kind == "binary" else "j", index)
+                assert by_id[key] == f"error: {NOT_RELAYED}"
+        # Every answer is written in stream order: ops run where they
+        # stand, and nothing behind a held op is read before it answers.
+        order = [
+            decode_binary_error(message[1])[0] if lane == "frame"
+            else message.get("id")
+            for lane, message in written
+        ]
+        assert order == sorted(order)
 
 
 # ----------------------------------------------------------------------
-# (a) An upstream is written before it connects
+# (a) A member that cannot be reached answers, in kind, never hangs
 # ----------------------------------------------------------------------
-def test_queue_leaves_on_connect_pin_first_then_frames_in_order() -> None:
-    async def scenario():
-        workers = [await ScriptedWorker().start() for _ in range(2)]
-        router = ShardRouter(
-            {f"w{i}": ("127.0.0.1", w.port) for i, w in enumerate(workers)}
-        )
-        await router.start()
-        try:
-            reader, writer = await open_client(router.port)  # via w0
-            (session,) = router._sessions
-            assert "w1" not in session.upstreams
-            frames = [
-                encode_binary_request(TABLES, request_for(ON_W1), n, env=ENV)
-                for n in (1, 2, 3)
-            ]
-            # Handed straight to the session, as its transport would:
-            # by the time the call returns the first frame is routed —
-            # synchronously, before there is a socket to write it to.
-            feed(session, b"".join(frames))
-            fresh = session.upstreams["w1"]
-            queued = (fresh.transport is None, list(fresh._outbox))
-            await eventually(lambda: len(workers[1].messages()) == 4)
-            writer.close()
-            return queued, frames, workers[1].messages(), bytes(workers[1].received)
-        finally:
-            await router.stop()
-            for worker in workers:
-                await worker.stop()
-
-    (unconnected, outbox), frames, seen, raw = asyncio.run(scenario())
-    assert unconnected and len(outbox) == 2
-    assert json.loads(outbox[0])["id"] == ROUTER_INTERN_ID and outbox[1] == frames[0]
-    lane, pin = seen[0]
-    assert lane == "line" and pin["op"] == "intern"
-    assert pin["id"] == ROUTER_INTERN_ID and pin["tables"] == TABLES.to_payload()["tables"]
-    assert raw.endswith(b"".join(frames))  # ...then the frames, verbatim
-
-
 def test_refused_connect_feeds_the_breaker_and_answers_in_kind() -> None:
     async def scenario():
-        placeholder = socket.socket()
-        placeholder.bind(("127.0.0.1", 0))
-        dead_port = placeholder.getsockname()[1]
-        placeholder.close()  # nothing listens here any more
-        server = PDPServer(
-            PolicyDecisionPoint(MediationEngine(build_policy()), PDPConfig())
-        )
-        async with server:
+        async with make_server() as server:
             router = ShardRouter(
-                {"w0": ("127.0.0.1", server.port), "w1": ("127.0.0.1", dead_port)},
-                failure_threshold=2,
-                cooldown_s=60.0,
+                {"w0": ("127.0.0.1", server.port), "w1": ("127.0.0.1", dead_port())}
             )
             async with router:
-                reader, writer = await open_client(router.port)
-                pipeline = bytearray()
-                for n in (1, 2, 3):
-                    pipeline += dumps_line(
-                        encode_request(request_for(ON_W1), n, env=ENV)
-                    )
-                    pipeline += encode_binary_request(
-                        TABLES, request_for(ON_W1), 100 + n, env=ENV
-                    )
-                pipeline += dumps_line(
-                    encode_request(request_for(ON_W0), 9, env=ENV)
+                clients = [
+                    await RemotePDPClient.connect("127.0.0.1", router.port, wire=w)
+                    for w in ("json", "binary")
+                ]
+                breaker = clients[0].breakers["w1"]
+                failures_at_connect = breaker.failures
+                breaker.failure_threshold = 2
+                outcomes = await asyncio.gather(
+                    *(
+                        client.decide(request_for(ON_W1), environment_roles=ENV)
+                        for client in clients
+                        for _ in range(3)
+                    ),
+                    clients[0].decide(request_for(ON_W0), environment_roles=ENV),
                 )
-                writer.write(bytes(pipeline))
-                answers = verdicts(await read_messages(reader, 7))
-                writer.close()
-                return answers, router.stats(), router.breaker("w1").failures
+                for client in clients:
+                    await client.close()
+                return failures_at_connect, outcomes, breaker, server.pdp.stats()
 
-    answers, stats, failures = asyncio.run(scenario())
-    assert answers.pop(("j", 9)) is PDPOutcome.GRANT  # w0 is unaffected
-    assert set(answers) == {("j", 1), ("j", 2), ("j", 3),
-                            ("b", 101), ("b", 102), ("b", 103)}
-    assert set(answers.values()) == {PDPOutcome.DENY_UNAVAILABLE}
-    assert failures >= 2 and stats["workers"]["w1"]["breaker"] == "open"
-    assert stats["unavailable_synthesized"] == 6
-    assert stats["in_flight"] == 0
+    failures_at_connect, outcomes, breaker, stats = asyncio.run(scenario())
+    *shed, granted = outcomes
+    assert granted.outcome is PDPOutcome.GRANT  # w0 is unaffected
+    assert len(shed) == 6
+    assert {r.outcome for r in shed} == {PDPOutcome.DENY_UNAVAILABLE}
+    assert all(not r.granted and "w1" in r.rationale for r in shed)
+    assert failures_at_connect == 1
+    assert breaker.failures >= 2 and breaker.state() == "open"
+    assert stats["requests"] == 1
+
+
+def test_killed_worker_answers_in_flight_and_its_breaker_sheds_until_cooldown(
+) -> None:
+    clock = FakeClock()
+
+    async def scenario():
+        doomed = await ScriptedWorker().start()
+        router = ShardRouter({"w0": ("127.0.0.1", doomed.port)})
+        await router.start()
+        replacement = make_server()
+        try:
+            client = await RemotePDPClient.connect("127.0.0.1", router.port)
+            breaker = client.breakers["w0"]
+            breaker.clock = clock
+            in_flight = [
+                asyncio.ensure_future(
+                    client.decide(request_for(ON_W0), environment_roles=ENV)
+                )
+                for _ in range(5)
+            ]
+            await eventually(lambda: doomed.newlines == 5)
+            # kill -9: the supervisor reports the slot down, the
+            # worker's sockets go with it.
+            router.mark_worker_down("w0")
+            await doomed.stop()
+            killed = await asyncio.gather(*in_flight)
+            shed_while_down = await client.decide(request_for(ON_W0))
+            state_after_kill = breaker.state()
+            # Restarted on a new port — but the breaker has not cooled.
+            await replacement.start()
+            router.set_worker("w0", "127.0.0.1", replacement.port)
+            shed_until_cooldown = await client.decide(
+                request_for(ON_W0), environment_roles=ENV
+            )
+            clock.now += breaker.cooldown_s
+            recovered = await client.decide(
+                request_for(ON_W0), environment_roles=ENV
+            )
+            await client.close()
+            return (killed, shed_while_down, state_after_kill,
+                    shed_until_cooldown, recovered, breaker.state())
+        finally:
+            await router.stop()
+            await replacement.stop()
+
+    (killed, shed_while_down, state_after_kill, shed_until_cooldown,
+     recovered, final_state) = asyncio.run(scenario())
+    assert [r.outcome for r in killed] == [PDPOutcome.DENY_UNAVAILABLE] * 5
+    assert not any(r.granted for r in killed)
+    assert shed_while_down.outcome is PDPOutcome.DENY_UNAVAILABLE
+    assert state_after_kill == "open"
+    assert shed_until_cooldown.outcome is PDPOutcome.DENY_UNAVAILABLE
+    assert recovered.outcome is PDPOutcome.GRANT
+    assert final_state == "closed"
+
+
+def test_worker_killed_mid_pipeline_answers_every_outstanding_id() -> None:
+    assert_killed_worker_answered(half_close=False)
+
+
+def test_worker_half_closing_mid_pipeline_answers_every_id() -> None:
+    """A worker that shuts only its sending side owes the answers it
+    will never write: each is answered for it, on the lane it took."""
+    assert_killed_worker_answered(half_close=True)
+
+
+def assert_killed_worker_answered(half_close: bool, n: int = 4) -> None:
+    async def scenario():
+        doomed = await ScriptedWorker(die_after=2 * n, half_close=half_close).start()
+        router = ShardRouter({"w0": ("127.0.0.1", doomed.port)})
+        await router.start()
+        try:
+            client = await RemotePDPClient.connect(
+                "127.0.0.1", router.port, wire="binary"
+            )
+            # A per-request timeout rides the NDJSON lane: n of each.
+            outcomes = await asyncio.wait_for(
+                asyncio.gather(
+                    *(
+                        client.decide(
+                            request_for((ON_W0, ON_W1)[index % 2]),
+                            environment_roles=ENV,
+                            timeout_ms=None if index < n else 5000.0,
+                        )
+                        for index in range(2 * n)
+                    )
+                ),
+                10.0,
+            )
+            lanes = [lane for lane, _ in doomed.messages()[1:]]  # after intern
+            await client.close()
+            return outcomes, lanes
+        finally:
+            await router.stop()
+            await doomed.stop()
+
+    outcomes, lanes = asyncio.run(scenario())
+    assert sorted(lanes) == ["frame"] * n + ["line"] * n
+    assert [r.outcome for r in outcomes] == [PDPOutcome.DENY_UNAVAILABLE] * (2 * n)
+    assert len({r.id for r in outcomes}) == 2 * n
 
 
 # ----------------------------------------------------------------------
-# (b) Backpressure is paired across session and upstreams
+# Property: the client's ring is the router's, whatever the membership did
 # ----------------------------------------------------------------------
-def router_buffered(session) -> int:
-    """Bytes the router holds for one session, whichever way they flow."""
-    connections = [session, *session.upstreams.values()]
-    return sum(
-        c._end - c._start  # read, not yet delivered
-        + sum(map(len, c._outbox))
-        + (c.transport.get_write_buffer_size() if c.transport else 0)
-        for c in connections
+KEYS = [f"resident-{index}" for index in range(24)]
+
+membership_steps = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=2),
+              st.sampled_from(["kill", "restart"])),
+    max_size=6,
+)
+
+
+@settings(max_examples=15, deadline=None)
+@given(steps=membership_steps)
+@example(steps=[(1, "kill"), (1, "restart"), (1, "restart"), (0, "kill")])
+def test_client_routes_every_key_to_the_slot_the_router_names(steps) -> None:
+    clock = FakeClock()
+
+    async def scenario():
+        servers = {f"w{i}": make_server() for i in range(3)}
+        for server in servers.values():
+            await server.start()
+        router = ShardRouter(
+            {name: ("127.0.0.1", s.port) for name, s in servers.items()}
+        )
+        await router.start()
+        retired: List[PDPServer] = []
+        try:
+            client = await RemotePDPClient.connect("127.0.0.1", router.port)
+            for breaker in client.breakers.values():
+                breaker.clock = clock
+            for index, action in steps:
+                name = f"w{index}"
+                old = servers[name]
+                router.mark_worker_down(name)
+                if old is not None:
+                    for connection in list(old._open):
+                        connection.transport.abort()
+                    await old.stop()
+                    retired.append(old)
+                if action == "restart":  # a new process on a new port
+                    servers[name] = make_server()
+                    await servers[name].start()
+                    router.set_worker(name, "127.0.0.1", servers[name].port)
+                else:
+                    servers[name] = None
+                clock.now += 60.0  # every breaker cooled down
+            checked = []
+            for key in KEYS:
+                owner = router.ring.route(key)
+                live = servers[owner]
+                before = live.pdp.stats()["requests"] if live else None
+                response = await client.decide(
+                    AccessRequest("watch", "tv", subject=key)
+                )
+                after = live.pdp.stats()["requests"] if live else None
+                checked.append((key, owner, client.route(key), response.outcome,
+                                before, after))
+            await client.close()
+            return checked
+        finally:
+            await router.stop()
+            for server in [*servers.values(), *retired]:
+                if server is not None:
+                    await server.stop()
+
+    for key, owner, routed, outcome, before, after in asyncio.run(scenario()):
+        assert routed == owner, key
+        if before is None:  # killed for good: its range sheds
+            assert outcome is PDPOutcome.DENY_UNAVAILABLE, key
+        else:  # answered by the process now registered under the slot
+            assert outcome is not PDPOutcome.DENY_UNAVAILABLE, key
+            assert after == before + 1, key
+
+
+# ----------------------------------------------------------------------
+# (b) Backpressure is per link
+# ----------------------------------------------------------------------
+def connection_buffered(connection) -> int:
+    """Bytes one connection holds, whichever way they flow."""
+    return (
+        connection._end - connection._start  # read, not yet delivered
+        + sum(map(len, connection._outbox))
+        + (connection.transport.get_write_buffer_size()
+           if connection.transport else 0)
     )
 
 
@@ -512,21 +671,22 @@ def test_unread_pipeline_is_bounded_and_throttles_only_itself() -> None:
     ]
     assert all(t.startswith(b'{"id":0,') for t in templates)
     flood = b"".join(
-        b'{"id":%d,' % index + templates[index % 2][len(b'{"id":0,'):]
+        b'{"id":%d,' % index + templates[0][len(b'{"id":0,'):]
         for index in range(1, FLOOD + 1)
     )
 
     async def scenario():
         async with Cluster() as cluster:
-            router = cluster.router
+            worker = cluster.servers[0]
+            host, port = cluster.router.members()["members"]["w0"]
             # Small kernel buffers, so megabytes — not tens of them —
-            # back the router's transports up.
+            # back the worker's transport up.
             raw = socket.socket()
             raw.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
-            raw.connect(("127.0.0.1", router.port))
+            raw.connect((host, port))
             reader, writer = await asyncio.open_connection(sock=raw)
-            await eventually(lambda: len(router._sessions) == 1)
-            (flooded,) = router._sessions
+            await eventually(lambda: len(worker._open) == 1)
+            (flooded,) = worker._open
             flooded.transport.get_extra_info("socket").setsockopt(
                 socket.SOL_SOCKET, socket.SO_SNDBUF, 4096
             )
@@ -535,16 +695,13 @@ def test_unread_pipeline_is_bounded_and_throttles_only_itself() -> None:
             await eventually(lambda: not flooded.transport.is_reading())
             await asyncio.sleep(0.2)  # nothing more may be consumed
             high_water = flooded.transport.get_write_buffer_limits()[1]
-            buffered = router_buffered(flooded)
-            upstreams_paused = [
-                not u.transport.is_reading()
-                for u in flooded.upstreams.values()
-            ]
-            routed = sum(router.routed.values())
+            buffered = connection_buffered(flooded)
+            admitted = worker.pdp.stats()["requests"]
 
-            # A well-behaved neighbour is served as if nothing happened.
+            # A well-behaved neighbour — on the same worker, too — is
+            # served as if nothing happened.
             neighbour = await RemotePDPClient.connect(
-                "127.0.0.1", router.port, wire="binary"
+                "127.0.0.1", cluster.router.port, wire="binary"
             )
             slowest = 0.0
             for index in range(50):
@@ -563,73 +720,90 @@ def test_unread_pipeline_is_bounded_and_throttles_only_itself() -> None:
 
             # The flooder finally reads: everything resumes and every
             # single request is answered.
-            answers = 0
-            while answers < FLOOD:
+            answered = 0
+            while answered < FLOOD:
                 chunk = await asyncio.wait_for(reader.read(1 << 20), 30.0)
-                assert chunk, "router closed on a slow reader"
-                answers += chunk.count(b"\n")
-            in_flight = router.stats()["in_flight"]
+                assert chunk, "worker closed on a slow reader"
+                answered += chunk.count(b"\n")
             writer.close()
-            return (buffered, high_water, upstreams_paused, routed, slowest,
-                    still_paused, in_flight, router.stats())
+            return (buffered, high_water, admitted, slowest, still_paused,
+                    cluster.requests())
 
-    (buffered, high_water, upstreams_paused, routed, slowest, still_paused,
-     in_flight, stats) = asyncio.run(scenario())
-    assert routed < FLOOD  # reading stopped with requests still unread
-    # Three sockets' high-water marks plus one read — a fraction of the
-    # ~10 MB the flood and its answers come to.
-    assert buffered <= 3 * high_water + ONE_READ
-    assert upstreams_paused == [True, True]
+    (buffered, high_water, admitted, slowest, still_paused,
+     requests_per_worker) = asyncio.run(scenario())
+    assert admitted < FLOOD  # reading stopped with requests still unread
+    # One socket's high-water mark plus one read and its answers — a
+    # fraction of the ~10 MB the flood and its answers come to.
+    assert buffered <= high_water + 3 * ONE_READ
     assert still_paused and slowest < 0.25
-    assert in_flight == 0 and stats["unavailable_synthesized"] == 0
-    assert sum(row["routed"] for row in stats["workers"].values()) == FLOOD + 50
+    assert requests_per_worker == [FLOOD + 25, 25]
 
 
 def test_worker_that_stops_reading_pauses_its_session_until_it_resumes() -> None:
-    line = dumps_line(encode_request(request_for(ON_W0), 1, env=ENV))
-    count = 20_000
+    """A worker that stops reading pauses the client's link to it: its
+    callers wait instead of queueing, and the client's other link and
+    the router's control plane carry on."""
+    count, batch = 20_000, 500
 
     async def scenario():
-        worker = await ScriptedWorker(reading=False).start()
-        router = ShardRouter({"w0": ("127.0.0.1", worker.port)})
+        stalled = await ScriptedWorker(reading=False).start()
+        healthy = make_server()
+        await healthy.start()
+        router = ShardRouter(
+            {"w0": ("127.0.0.1", stalled.port), "w1": ("127.0.0.1", healthy.port)}
+        )
         await router.start()
         try:
-            stalled_reader, stalled = await open_client(router.port, handshake=False)
-            stalled.write(line)
-            await eventually(lambda: len(router._sessions) == 1)
-            (session,) = router._sessions
-            await eventually(lambda: "w0" in session.upstreams
-                             and session.upstreams["w0"].transport is not None)
-            upstream = session.upstreams["w0"]
-            upstream.transport.get_extra_info("socket").setsockopt(
+            client = await RemotePDPClient.connect("127.0.0.1", router.port)
+            link = client._links["w0"]
+            link.transport.get_extra_info("socket").setsockopt(
                 socket.SOL_SOCKET, socket.SO_SNDBUF, 4096
             )
-            stalled.write(line * (count - 1))
-            await eventually(lambda: not session.transport.is_reading())
+            waiting = []
+            while link.writable is None and len(waiting) < count:
+                waiting += [
+                    asyncio.ensure_future(
+                        client.decide(request_for(ON_W0), environment_roles=ENV)
+                    )
+                    for _ in range(batch)
+                ]
+                await asyncio.sleep(0)
+                await asyncio.sleep(0)
+            sent_before_pause = len(waiting)
+            waiting += [
+                asyncio.ensure_future(
+                    client.decide(request_for(ON_W0), environment_roles=ENV)
+                )
+                for _ in range(count - len(waiting))
+            ]
             await asyncio.sleep(0.1)
-            paused_with = router_buffered(session)
-            high_water = upstream.transport.get_write_buffer_limits()[1]
-            # Another client of the same router is not held up: its own
-            # upstream to the stalled worker queues, but the router
-            # answers what it can answer itself at once.
-            other_reader, other = await open_client(router.port, handshake=False)
-            other.write(dumps_line({"op": "ping", "id": 5}))
-            pong = json.loads(await asyncio.wait_for(other_reader.readline(), 5.0))
-            other.close()
+            paused_with = connection_buffered(link)
+            high_water = link.transport.get_write_buffer_limits()[1]
+            neighbour = await asyncio.wait_for(
+                client.decide(request_for(ON_W1), environment_roles=ENV), 5.0
+            )
+            pong = await asyncio.wait_for(client.ping(), 5.0)
 
-            worker.reading.set()
-            await eventually(lambda: worker.newlines == count, 30.0)
-            await eventually(lambda: session.transport.is_reading())
-            stalled.close()
-            return paused_with, high_water, pong
+            stalled.reading.set()
+            await eventually(lambda: stalled.newlines == count, 30.0)
+            await client.close()  # the stub never answers decisions
+            await asyncio.gather(*waiting, return_exceptions=True)
+            line = dumps_line(encode_request(request_for(ON_W0), count, env=ENV))
+            return (paused_with, high_water, sent_before_pause, len(line),
+                    neighbour, pong)
         finally:
             await router.stop()
-            await worker.stop()
+            await stalled.stop()
+            await healthy.stop()
 
-    paused_with, high_water, pong = asyncio.run(scenario())
-    assert paused_with <= high_water + ONE_READ
-    assert paused_with < count * len(line) / 2
-    assert pong == {"op": "pong", "id": 5}
+    (paused_with, high_water, sent_before_pause, line_bytes, neighbour,
+     pong) = asyncio.run(scenario())
+    # What the paused link holds: the high-water mark plus the batch
+    # that crossed it — not the 20,000 requests its callers asked for.
+    assert sent_before_pause < 20_000
+    assert paused_with <= high_water + 2 * batch * line_bytes
+    assert neighbour.outcome is PDPOutcome.GRANT
+    assert pong is True
 
 
 # ----------------------------------------------------------------------
@@ -647,46 +821,48 @@ def test_reload_reply_precedes_everything_pipelined_behind_it() -> None:
 
         async with Cluster(reload_handler=handler) as cluster:
             try:
-                reader, writer = await open_client(cluster.router.port)
+                reader, writer = await open_client(
+                    cluster.router.port, handshake=False
+                )
                 writer.write(  # one write: one read delivers it all
-                    dumps_line(encode_request(request_for(ON_W0), 1, env=ENV))
+                    dumps_line({"op": "ping", "id": 1})
                     + dumps_line({"op": "reload", "id": 2, "policy": "first"})
                     + dumps_line({"op": "ping", "id": 3})
                     + encode_binary_request(TABLES, request_for(ON_W1), 4, env=ENV)
                     + dumps_line({"op": "reload", "id": 5, "policy": "second"})
-                    + dumps_line({"op": "ping", "id": 6})
+                    + dumps_line({"op": "stats", "id": 6})
                 )
-                early = await read_messages(reader, 1)  # the decision ahead of it
+                early = await read_messages(reader, 1)  # the ping ahead of it
                 await eventually(lambda: seen == ["first"])
                 with pytest.raises(asyncio.TimeoutError):
                     await asyncio.wait_for(reader.read(1), 0.2)  # held
-                routed_while_held = sum(cluster.router.routed.values())
                 # Other sessions carry on while this one waits.
                 async with await RemotePDPClient.connect(
                     "127.0.0.1", cluster.router.port
                 ) as other:
                     assert await asyncio.wait_for(other.ping(), 5.0)
+                    granted = await other.decide(
+                        request_for(ON_W0), environment_roles=ENV
+                    )
                 gate.set()
                 rest = await read_messages(reader, 5)
                 writer.close()
-                return early + rest, seen, routed_while_held
+                return early + rest, seen, granted
             finally:
                 gate.set()
 
-    written, seen, routed_while_held = asyncio.run(scenario())
+    written, seen, granted = asyncio.run(scenario())
+    by_id = answers(written)
     order = [
-        decode_binary_response(message[1]).id if lane == "frame" else message["id"]
+        decode_binary_error(message[1])[0] if lane == "frame" else message["id"]
         for lane, message in written
     ]
-    assert sorted(order) == [1, 2, 3, 4, 5, 6]
-    # Each reload is answered before anything sent after it is (the
-    # decision behind the first may still overtake the second).
-    assert order.index(2) < min(order.index(later) for later in (3, 4, 5, 6))
-    assert order.index(5) < order.index(6)
+    assert order == [1, 2, 3, 4, 5, 6]  # each op answered where it stood
     assert seen == ["first", "second"]
-    assert routed_while_held == 1  # nothing behind the reload had been routed
-    assert verdicts(written) == {("j", 1): PDPOutcome.GRANT,
-                                 ("b", 4): PDPOutcome.GRANT}
+    assert by_id[("j", 2)] == by_id[("j", 5)] == "reload"
+    assert by_id[("b", 4)] == f"error: {NOT_RELAYED}"
+    assert by_id[("j", 6)] == "stats"
+    assert granted.outcome is PDPOutcome.GRANT
 
 
 def test_failing_reload_handler_is_an_answer_and_releases_the_stream() -> None:
@@ -710,14 +886,14 @@ def test_failing_reload_handler_is_an_answer_and_releases_the_stream() -> None:
 
 
 # ----------------------------------------------------------------------
-# (d) A half-closed client is still owed its answers
+# (d) A half-closed stream is still owed its answers
 # ----------------------------------------------------------------------
 def test_half_closed_pipeline_gets_every_answer_like_a_single_server() -> None:
     n = 6
     pipeline = mixed_pipeline(n) + dumps_line({"op": "ping", "id": 99}).rstrip()
 
-    async def ask(port: int):
-        reader, writer = await open_client(port)
+    async def ask(port: int, handshake: bool = True):
+        reader, writer = await open_client(port, handshake)
         writer.write(pipeline)  # ...ending in a line with no newline
         writer.write_eof()
         data = await asyncio.wait_for(reader.read(), 10.0)  # until close
@@ -726,21 +902,25 @@ def test_half_closed_pipeline_gets_every_answer_like_a_single_server() -> None:
 
     async def scenario():
         async with Cluster() as cluster:
-            through = await ask(cluster.router.port)
+            members = cluster.router.members()["members"]
+            via_members = await ask(members["w1"][1])
             direct = await ask(cluster.servers[0].port)
+            refused = await ask(cluster.router.port, handshake=False)
             await eventually(lambda: not cluster.router._sessions)
             await eventually(
                 lambda: not any(server._open for server in cluster.servers)
             )
-            return through, direct, cluster.router.stats()
+            return via_members, direct, refused, cluster.router.stats()
 
-    through, direct, stats = asyncio.run(scenario())
-    assert len(through) == len(direct) == 2 * n + 1
-    assert verdicts(through) == verdicts(direct)
-    assert set(verdicts(through).values()) == {PDPOutcome.GRANT}
-    assert {"op": "pong", "id": 99} in [m for lane, m in through if lane == "line"]
+    via_members, direct, refused, stats = asyncio.run(scenario())
+    assert len(via_members) == len(direct) == len(refused) == 2 * n + 1
+    assert answers(via_members) == answers(direct)
+    decisions = {k: v for k, v in answers(direct).items() if k != ("j", 99)}
+    assert set(decisions.values()) == {PDPOutcome.GRANT}
+    refusals = answers(refused)
+    assert refusals.pop(("j", 99)) == "pong"
+    assert set(refusals.values()) == {f"error: {NOT_RELAYED}"}
     assert stats["in_flight"] == 0 and stats["sessions"] == 0
-    assert all(row["routed"] == n for row in stats["workers"].values())
 
 
 def test_half_closed_subscriber_is_detached_upstream_once_drained() -> None:
@@ -750,164 +930,83 @@ def test_half_closed_subscriber_is_detached_upstream_once_drained() -> None:
         router = ShardRouter({"w0": ("127.0.0.1", worker.port)})
         await router.start()
         try:
-            reader, writer = await open_client(router.port, handshake=False)
+            host, port = router.members()["members"]["w0"]
+            reader, writer = await open_client(port, handshake=False)
             writer.write(dumps_line(encode_request(LIVE_REQUEST, 1, subscribe=True)))
             writer.write_eof()
             data = await asyncio.wait_for(reader.read(), 10.0)
             writer.close()
-            # The answer drained the session: its upstream is closed,
-            # so the worker has nobody left to push a revoke to.
+            # The half-close detached the session: the worker has
+            # nobody left to push a revoke to.
             await eventually(lambda: worker.pdp.grants.sessions == 0)
-            return data, worker.pdp.grants.grants, router.stats()
+            return data, worker.pdp.grants.grants
         finally:
             await router.stop()
             await worker.stop()
 
-    data, grants, stats = asyncio.run(scenario())
-    (answer,) = verdicts(split_messages(data)).values()
+    data, grants = asyncio.run(scenario())
+    (answer,) = answers(split_messages(data)).values()
     assert answer is PDPOutcome.GRANT
-    assert grants == 0 and stats["sessions"] == 0
-
-
-def test_half_closed_after_intern_closes_once_the_pins_are_answered() -> None:
-    """The intern reply pins the session's other upstream before it is
-    relayed, so the last thing settled is the router's own pin — which
-    forwards nothing, and must still close the half-closed session."""
-
-    async def scenario():
-        async with Cluster() as cluster:
-            router = cluster.router
-            reader, writer = await open_client(router.port, handshake=False)
-            writer.write(
-                dumps_line(encode_request(request_for(ON_W0), 1, env=ENV))
-                + dumps_line(encode_request(request_for(ON_W1), 2, env=ENV))
-            )
-            await read_messages(reader, 2)  # both upstreams are open
-            writer.write(dumps_line({"op": "intern", "id": 7}))
-            writer.write_eof()
-            data = await asyncio.wait_for(reader.read(), 10.0)  # until close
-            writer.close()
-            await eventually(lambda: not router._sessions)
-            return split_messages(data), router.stats()
-
-    messages, stats = asyncio.run(scenario())
-    ((lane, reply),) = messages
-    assert lane == "line" and reply["id"] == 7 and "tables" in reply
-    assert stats["in_flight"] == 0 and stats["sessions"] == 0
+    assert grants == 0
 
 
 # ----------------------------------------------------------------------
-# Failure is an answer, never a hang
+# Intern tables are per link
 # ----------------------------------------------------------------------
-def test_worker_killed_mid_pipeline_answers_every_outstanding_id() -> None:
-    assert_killed_worker_answered(half_close=False)
-
-
-def test_half_closed_client_gets_every_answer_a_killed_worker_owed() -> None:
-    """Each synthesized answer settles one id; the session must close
-    behind the last of them, not the first."""
-    assert_killed_worker_answered(half_close=True)
-
-
-def assert_killed_worker_answered(half_close: bool, n: int = 4) -> None:
-    async def scenario():
-        doomed = await ScriptedWorker(die_after=2 * n).start()
-        router = ShardRouter({"w0": ("127.0.0.1", doomed.port)})
-        await router.start()
-        try:
-            reader, writer = await open_client(router.port)
-            writer.write(mixed_pipeline(n))
-            if half_close:
-                writer.write_eof()
-            answers = verdicts(await read_messages(reader, 2 * n))
-            if half_close:
-                assert await asyncio.wait_for(reader.read(), 10.0) == b""
-            writer.close()
-            return answers, router.stats()
-        finally:
-            await router.stop()
-            await doomed.stop()
-
-    answers, stats = asyncio.run(scenario())
-    assert set(answers) == (
-        {("j", index) for index in range(1, n + 1)}
-        | {("b", 100 + index) for index in range(1, n + 1)}
-    )
-    assert set(answers.values()) == {PDPOutcome.DENY_UNAVAILABLE}
-    assert stats["unavailable_synthesized"] == 2 * n
-    assert stats["in_flight"] == 0
-
-
 def big_policy() -> GrbacPolicy:
     """``build_policy`` plus enough subjects that the intern tables no
-    longer fit one wire line."""
+    longer fit one request line."""
     policy = build_policy()
     for index in range(2500):
         policy.add_subject(f"resident-{index:04d}-of-a-very-large-household")
     return policy
 
 
-def test_tables_too_big_to_replay_refuse_the_handshake_not_the_requests() -> None:
+def test_tables_too_big_for_one_line_still_ride_the_binary_lane() -> None:
     policy = big_policy()
     tables = InternTables.from_policy(policy)
     assert len(dumps_line(tables.to_payload())) > MAX_LINE_BYTES
 
     async def scenario():
         async with Cluster(policy=policy) as cluster:
-            port = cluster.router.port
-            with pytest.raises(ServiceError) as refused:
-                await asyncio.wait_for(
-                    RemotePDPClient.connect("127.0.0.1", port, wire="binary"), 5.0
-                )
-            reader, writer = await open_client(port, handshake=False)
-            writer.write(HANDSHAKE)
-            handshake = json.loads(await asyncio.wait_for(reader.readline(), 5.0))
-            # NDJSON is unaffected, on either worker; a frame sent anyway
-            # is refused by id, not forwarded to a worker that cannot
-            # decode it.
-            writer.write(
-                dumps_line(encode_request(request_for(ON_W0), 1, env=ENV))
-                + dumps_line(encode_request(request_for(ON_W1), 2, env=ENV))
-                + encode_binary_request(tables, request_for(ON_W1), 3, env=ENV)
-                + encode_binary_request(tables, request_for(ON_W0), 4, env=ENV)
+            client = await asyncio.wait_for(
+                RemotePDPClient.connect(
+                    "127.0.0.1", cluster.router.port, wire="binary"
+                ),
+                5.0,
             )
-            answers = verdicts(await read_messages(reader, 4, timeout_s=5.0))
-            writer.close()
-            return str(refused.value), handshake, answers, cluster.router.stats()
+            outcomes = [
+                (await client.decide(request_for(s), environment_roles=ENV)).outcome
+                for s in (ON_W0, ON_W1)
+            ]
+            links = {name: link.tables for name, link in client._links.items()}
+            await client.close()
+            return outcomes, links
 
-    refused, handshake, answers, stats = asyncio.run(scenario())
-    for text in (refused, handshake["error"]):
-        assert str(MAX_LINE_BYTES) in text and "byte" in text
-    assert handshake["id"] == 0 and "tables" not in handshake
-    assert answers[("j", 1)] is answers[("j", 2)] is PDPOutcome.GRANT
-    assert answers[("b", 3)].startswith("error: binary request before intern")
-    assert answers[("b", 4)].startswith("error: binary request before intern")
-    assert stats["in_flight"] == 0
+    outcomes, links = asyncio.run(scenario())
+    assert outcomes == [PDPOutcome.GRANT, PDPOutcome.GRANT]
+    assert set(links) == {"w0", "w1"}
+    assert all(t is not None and len(t.subjects) > 2500 for t in links.values())
 
 
-def test_handshake_pins_upstreams_that_were_opened_before_it() -> None:
-    """NDJSON first (both upstreams open, un-pinned), then the intern
-    handshake, then frames: the worker that did not answer the
-    handshake must have been pinned to the same tables."""
-
+def test_every_member_link_interns_before_its_first_frame() -> None:
     async def scenario():
         async with Cluster() as cluster:
-            reader, writer = await open_client(cluster.router.port, handshake=False)
-            writer.write(
-                dumps_line(encode_request(request_for(ON_W0), 1, env=ENV))
-                + dumps_line(encode_request(request_for(ON_W1), 2, env=ENV))
+            client = await RemotePDPClient.connect(
+                "127.0.0.1", cluster.router.port, wire="binary"
             )
-            first = verdicts(await read_messages(reader, 2))
-            writer.write(HANDSHAKE)
-            await read_messages(reader, 1)
-            writer.write(
-                encode_binary_request(TABLES, request_for(ON_W0), 11, env=ENV)
-                + encode_binary_request(TABLES, request_for(ON_W1), 12, env=ENV)
+            interned = {name: link.tables is not None
+                        for name, link in client._links.items()}
+            responses = await asyncio.gather(
+                *(
+                    client.decide(request_for(s), environment_roles=ENV)
+                    for s in (ON_W0, ON_W1) * 3
+                )
             )
-            second = verdicts(await read_messages(reader, 2, timeout_s=5.0))
-            writer.close()
-            return first, second
+            await client.close()
+            return interned, responses, cluster.requests()
 
-    first, second = asyncio.run(scenario())
-    assert set(first.values()) == {PDPOutcome.GRANT} and len(first) == 2
-    assert second == {("b", 11): PDPOutcome.GRANT, ("b", 12): PDPOutcome.GRANT}
+    interned, responses, requests_per_worker = asyncio.run(scenario())
+    assert interned == {"w0": True, "w1": True}
+    assert {r.outcome for r in responses} == {PDPOutcome.GRANT}
+    assert requests_per_worker == [3, 3]

@@ -1,18 +1,18 @@
 """Cross-process trace propagation and the span-join waterfall.
 
-End-to-end half: in-process PDP workers behind a :class:`ShardRouter`
-with head-sampling at 1.0, asserting the parentage chain the ISSUE
-demands — the worker span's ``parent_span_id`` IS the router span's
-``span_id``, for the same trace id, across both wire formats.
-Unit half: :func:`join_trace` ordering, depth, orphan roots, and
-unreachable-source tolerance.
+End-to-end half: in-process PDP workers behind a :class:`ShardRouter`,
+with the client holding the ring — each decision goes straight to its
+worker, so the worker originates a sampled trace (its own head
+sampling) or continues the client's context (the worker span's
+``parent_span_id`` IS the caller's span id), and the join of the
+workers' retained spans serves it.  No router span exists: the router
+is off the decision path.  Unit half: :func:`join_trace` ordering,
+depth, orphan roots, and unreachable-source tolerance.
 """
 
 from __future__ import annotations
 
 import asyncio
-
-import pytest
 
 from repro.cluster import ShardRouter
 from repro.cluster.liveops import join_trace
@@ -33,15 +33,14 @@ def make_server(policy, **config) -> PDPServer:
     )
 
 
-async def start_cluster(tv_policy, n=2, **router_kwargs):
+async def start_cluster(tv_policy, n=2, **config):
     servers = []
     for _ in range(n):
-        server = make_server(tv_policy)
+        server = make_server(tv_policy, **config)
         await server.start()
         servers.append(server)
     router = ShardRouter(
-        {f"w{i}": ("127.0.0.1", s.port) for i, s in enumerate(servers)},
-        **router_kwargs,
+        {f"w{i}": ("127.0.0.1", s.port) for i, s in enumerate(servers)}
     )
     await router.start()
     return router, servers
@@ -53,104 +52,90 @@ async def stop_cluster(router, servers):
         await server.stop()
 
 
-def joined_for(router, servers, trace_id):
-    reports = {
-        f"w{i}": server.pdp.find_trace(trace_id)
-        for i, server in enumerate(servers)
-    }
-    reports["router"] = router.find_trace(trace_id)
-    return join_trace(reports)
+def joined_for(servers, trace_id):
+    return join_trace(
+        {
+            f"w{i}": server.pdp.find_trace(trace_id)
+            for i, server in enumerate(servers)
+        }
+    )
 
 
-def assert_parentage(spans):
-    """The ISSUE's acceptance shape: router root, worker child."""
-    router_spans = [s for s in spans if s["service"] == "router"]
-    worker_spans = [s for s in spans if s["service"] == "pdp"]
-    assert router_spans and worker_spans
-    root = router_spans[0]
-    child = worker_spans[0]
-    assert root["parent_span_id"] == "" or root["depth"] == 0
-    assert child["parent_span_id"] == root["span_id"]
-    assert child["depth"] == root["depth"] + 1
-    assert child["trace_id"] == root["trace_id"]
+def recent_traces(servers):
+    return [
+        trace_id for server in servers for trace_id in server.pdp.recent_traces()
+    ]
+
+
+async def decide_alice(client, **kwargs):
+    return await client.decide(
+        AccessRequest("watch", "livingroom/tv", subject="alice"),
+        environment_roles={"free-time"},
+        **kwargs,
+    )
 
 
 # ----------------------------------------------------------------------
 # End-to-end propagation
 # ----------------------------------------------------------------------
-def test_router_originates_and_worker_continues(tv_policy) -> None:
+def test_worker_originates_and_the_join_serves_it(tv_policy) -> None:
     async def scenario():
-        router, servers = await start_cluster(
-            tv_policy, trace_sample_rate=1.0
-        )
+        router, servers = await start_cluster(tv_policy, trace_sample_rate=1.0)
         try:
             client = await RemotePDPClient.connect("127.0.0.1", router.port)
-            response = await client.decide(
-                AccessRequest("watch", "livingroom/tv", subject="alice"),
-                environment_roles={"free-time"},
-            )
+            response = await decide_alice(client)
             await client.close()
-            trace_ids = router.recent_traces()
-            return (
-                response.outcome,
-                trace_ids,
-                joined_for(router, servers, trace_ids[0]),
-            )
+            trace_ids = recent_traces(servers)
+            return response.outcome, trace_ids, joined_for(servers, trace_ids[0])
         finally:
             await stop_cluster(router, servers)
 
     outcome, trace_ids, spans = asyncio.run(scenario())
     assert outcome is PDPOutcome.GRANT
     assert len(trace_ids) == 1
-    assert_parentage(spans)
-    names = {s["name"] for s in spans}
-    assert "router.route" in names
+    (span,) = spans
+    assert span["service"] == "pdp" and span["name"] == "pdp.decide"
+    assert span["depth"] == 0  # the worker originated it: a root
+    assert span["trace_id"] == trace_ids[0]
 
 
 def test_client_originated_context_propagates(tv_policy) -> None:
-    """A caller-minted trace id survives router rewrite to the worker."""
+    """A caller-minted context reaches the worker unchanged: the
+    worker's span is the caller span's child."""
 
     async def scenario():
         router, servers = await start_cluster(tv_policy)
         try:
             ctx = TraceContext.origin()
             client = await RemotePDPClient.connect("127.0.0.1", router.port)
-            await client.decide(
-                AccessRequest("watch", "livingroom/tv", subject="alice"),
-                environment_roles={"free-time"},
-                trace=ctx,
-            )
+            await decide_alice(client, trace=ctx)
             await client.close()
-            return ctx.trace_id, joined_for(router, servers, ctx.trace_id)
+            return ctx, joined_for(servers, ctx.trace_id)
         finally:
             await stop_cluster(router, servers)
 
-    trace_id, spans = asyncio.run(scenario())
+    ctx, spans = asyncio.run(scenario())
     assert spans, "client-originated trace must be recorded"
-    assert all(s["trace_id"] == trace_id for s in spans)
-    assert_parentage(spans)
-    # The router span's parent is the *client's* span id.
-    router_span = [s for s in spans if s["service"] == "router"][0]
-    assert router_span["parent_span_id"] != ""
+    assert all(s["trace_id"] == ctx.trace_id for s in spans)
+    (span,) = spans
+    assert span["service"] == "pdp"
+    assert span["parent_span_id"] == ctx.span_id
 
 
 def test_unsampled_context_records_nothing(tv_policy) -> None:
     async def scenario():
-        router, servers = await start_cluster(tv_policy)
+        router, servers = await start_cluster(tv_policy, trace_sample_rate=1.0)
         try:
             ctx = TraceContext.origin(sampled=False)
             client = await RemotePDPClient.connect("127.0.0.1", router.port)
-            await client.decide(
-                AccessRequest("watch", "livingroom/tv", subject="alice"),
-                environment_roles={"free-time"},
-                trace=ctx,
-            )
+            await decide_alice(client, trace=ctx)
             await client.close()
-            return joined_for(router, servers, ctx.trace_id)
+            return joined_for(servers, ctx.trace_id), recent_traces(servers)
         finally:
             await stop_cluster(router, servers)
 
-    assert asyncio.run(scenario()) == []
+    # The head's "drop" is obeyed even by a worker sampling everything.
+    assert asyncio.run(scenario()) == ([], [])
 
 
 def test_default_rate_traces_nothing(tv_policy) -> None:
@@ -164,7 +149,7 @@ def test_default_rate_traces_nothing(tv_policy) -> None:
                     environment_roles={"free-time"},
                 )
             await client.close()
-            return router.recent_traces()
+            return recent_traces(servers)
         finally:
             await stop_cluster(router, servers)
 

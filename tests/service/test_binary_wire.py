@@ -146,7 +146,7 @@ def test_binary_client_round_trip(tv_policy) -> None:
             async with await RemotePDPClient.connect(
                 "127.0.0.1", server.port, wire="binary"
             ) as client:
-                assert client._tables is not None
+                assert client._links["self"].tables is not None
                 granted = await client.check(
                     "alice", "watch", "livingroom/tv",
                     environment_roles={"free-time"},
@@ -368,7 +368,7 @@ def test_intern_refresh_after_policy_growth(tv_policy) -> None:
             async with await RemotePDPClient.connect(
                 "127.0.0.1", server.port, wire="binary"
             ) as client:
-                before = len(client._tables.subjects)
+                before = len(client._links["self"].tables.subjects)
                 tv_policy.add_subject("grandpa")
                 tv_policy.assign_subject("grandpa", "child")
                 # Uninterned name: JSON fallback still answers.

@@ -227,7 +227,7 @@ def test_intern_accepts_provided_tables(tv_policy) -> None:
             first = await RemotePDPClient.connect(
                 "127.0.0.1", server.port, wire="binary"
             )
-            tables = first._tables  # the handshake the router captures
+            tables = first._links["self"].tables
             response_a = await first.decide(
                 REQUEST, environment_roles={"free-time"}
             )

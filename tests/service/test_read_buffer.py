@@ -83,27 +83,30 @@ def test_a_thousand_reads_land_in_the_same_bytearray() -> None:
 
 def test_a_4_mib_op_line_on_a_link_then_back_to_the_base_buffer() -> None:
     class Client:
-        """What a :class:`_Link` dispatches to."""
+        """What a :class:`_Link` needs of its client."""
 
         def __init__(self) -> None:
-            self.lines: list = []
-
-        def _dispatch_line(self, line: bytes) -> None:
-            self.lines.append(line)
+            self._loop = asyncio.get_running_loop()
 
     head = b'{"id":1,"op":"metrics","text":"'
     line = head + b"x" * (MAX_OP_LINE_BYTES - len(head) - 2) + b'"}'
     assert len(line) == MAX_OP_LINE_BYTES
 
     async def scenario():
-        client = Client()
-        link = connected(_Link(client))  # type: ignore[arg-type]
+        link = connected(_Link(Client()))  # type: ignore[arg-type]
+        answers = {
+            wire_id: link.pending.setdefault(
+                wire_id, asyncio.get_running_loop().create_future()
+            )
+            for wire_id in (1, 2)
+        }
         base = link._buffer
         feed(link, line + b"\n" + dumps_line({"id": 2}), fills=[64 * 1024])
-        return client.lines, link, base
+        return {k: v.result() for k, v in answers.items()}, link, base
 
-    lines, link, base = asyncio.run(scenario())
-    assert lines == [line, b'{"id":2}']
+    answers, link, base = asyncio.run(scenario())
+    assert len(answers[1]["text"]) == len(line) - len(head) - 2
+    assert answers[2] == {"id": 2}
     assert link._buffer is base and len(base) == READ_BUFFER_BYTES
 
 

@@ -483,3 +483,67 @@ def test_raw_ndjson_revoke_schema() -> None:
     assert raw["object"] == "den/tv"
     assert raw["roles"] == ["free-time"]
     assert isinstance(raw["ts"], float)
+
+
+# ----------------------------------------------------------------------
+# An activation that arms a DENY withdraws the grants it now forbids
+# ----------------------------------------------------------------------
+def make_bedtime_server():
+    """The runtime above plus ``bedtime`` (21:00-23:00), which arms a
+    DENY on the very transaction ``free-time`` grants."""
+    runtime, policy = build_runtime_policy()
+    runtime.define_time_role(policy, "bedtime", time_window("21:00", "23:00"))
+    policy.deny("child", "watch", "entertainment", "bedtime")
+    engine = MediationEngine(policy, runtime.activator)
+    pdp = PolicyDecisionPoint(engine, env_revision=runtime)
+    return PDPServer(pdp, environment=runtime)
+
+
+@pytest.mark.parametrize("wire", ["json", "binary"])
+def test_activation_arming_a_deny_revokes_the_standing_grant(wire: str) -> None:
+    async def scenario():
+        server = make_bedtime_server()
+        async with server:
+            client = await RemotePDPClient.connect(
+                "127.0.0.1", server.port, wire=wire
+            )
+            granted = await client.decide(REQUEST, subscribe=True)
+            assert granted.outcome is PDPOutcome.GRANT  # 20:00, free-time
+            # 21:30: free-time still holds, bedtime has activated.  The
+            # env answer arrives behind every revoke the flip caused.
+            out = await client.env("advance", seconds=5400)
+            fresh = await client.decide(REQUEST)
+            revocations = list(client.revocations)
+            standing = server.pdp.grants.grants
+            await client.close()
+            return granted, out, fresh, revocations, standing
+
+    granted, out, fresh, revocations, standing = asyncio.run(scenario())
+    assert sorted(out["active"]) == ["bedtime", "free-time"]
+    assert fresh.outcome is PDPOutcome.DENY
+    assert standing == 0
+    (revocation,) = revocations
+    assert revocation.id == granted.id
+    assert revocation.roles == ("bedtime",)
+    assert "bedtime" in revocation.reason and "activated" in revocation.reason
+
+
+def test_activation_arming_no_deny_revokes_nothing() -> None:
+    """An activation no DENY is conditioned on leaves grants alone."""
+
+    async def scenario():
+        runtime, server = make_server()
+        runtime.define_time_role(
+            server.pdp.policy, "bedtime", time_window("21:00", "23:00")
+        )
+        async with server:
+            client = await RemotePDPClient.connect("127.0.0.1", server.port)
+            assert (await client.decide(REQUEST, subscribe=True)).granted
+            await client.env("advance", seconds=5400)  # bedtime activates
+            revocations = list(client.revocations)
+            standing = server.pdp.grants.grants
+            await client.close()
+            return revocations, standing
+
+    revocations, standing = asyncio.run(scenario())
+    assert revocations == [] and standing == 1

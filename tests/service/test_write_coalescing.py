@@ -30,7 +30,8 @@ def test_pipelined_answers_are_coalesced_and_counted(tv_policy) -> None:
             async with await RemotePDPClient.connect(
                 "127.0.0.1", server.port
             ) as client:
-                # Warm the cache: one answer, one write.
+                # Warm the cache: the connect's members reply and one
+                # answer, one write each.
                 await client.decide(REQUEST, environment_roles=set(ENV))
                 warm = (await client.stats())["server"]
                 reader, writer = await asyncio.open_connection(
@@ -48,7 +49,7 @@ def test_pipelined_answers_are_coalesced_and_counted(tv_policy) -> None:
                 return warm, stats, metrics, server.stats()
 
     warm, stats, metrics, direct = asyncio.run(scenario())
-    assert warm["responses"] == warm["socket_writes"] == 1
+    assert warm["responses"] == warm["socket_writes"] == 2
     responses = stats["responses"] - warm["responses"]
     writes = stats["socket_writes"] - warm["socket_writes"]
     # The 200 cache hits plus the first stats reply; every read that
