@@ -7,19 +7,22 @@ layer between the compiled engine's ``decide_batch`` fast path (PR 1)
 and live callers:
 
 * **bounded admission** — admitted requests wait in a plain pending
-  list of at most ``max_queue`` entries; when it is full the request
-  is *shed immediately* with the explicit
-  :attr:`PDPOutcome.DENY_OVERLOAD` outcome.  Overload never produces
-  an unbounded wait and never a spurious grant.
-* **micro-batching** — the admission that finds the list empty starts
-  one drain task, which lives only while there is work: it yields one
-  scheduling pass before a partial batch (so every producer that is
-  already runnable joins it), then hands at most ``max_batch`` entries
-  at a time to one :meth:`MediationEngine.decide_batch` call,
-  amortizing snapshot lookups and expansion memos across concurrent
-  callers, until the list is empty.  Batch size therefore
-  self-regulates with load: light traffic flushes singletons
-  immediately, heavy traffic fills real batches.
+  list of at most ``max_queue`` entries, which never holds more than
+  one read pass admitted; the excess of a pass is *shed immediately*
+  with the explicit :attr:`PDPOutcome.DENY_OVERLOAD` outcome.  Across
+  connections overload is TCP backpressure instead: the server reads
+  a connection again only after the pass before was decided.
+  Overload never produces an unbounded wait and never a spurious
+  grant.
+* **micro-batching** — a read is a batch: whatever one read pass of a
+  server connection (or one loop iteration of in-process submits)
+  admitted waits in the pending list until :meth:`step` runs at the
+  end of that pass, which hands at most ``max_batch`` entries at a
+  time to one :meth:`MediationEngine.decide_batch` call, amortizing
+  snapshot lookups and expansion memos across the pass, until the list
+  is empty.  Batch size therefore follows load: a lone request is
+  decided on the pass that read it, a pipelined read fills real
+  batches, and a miss costs no more loop iterations than a hit.
 * **revision-keyed caching** — answers are cached keyed on
   ``(policy.decision_revision, environment revision, request)``; any
   policy mutation or environment transition moves a revision counter
@@ -32,7 +35,7 @@ and live callers:
 * **graceful drain** — :meth:`stop` (default) decides everything
   already admitted before shutting down, so an accepted request is
   never silently dropped; ``stop(drain=False)`` sheds the pending list
-  instead and waits only for the batch in flight.
+  instead, and only a batch already being decided completes.
 * **hot-reload** — :meth:`swap_policy` atomically replaces the served
   policy without a restart: in-flight micro-batches complete against
   the engine they started with, subsequent batches see only the new
@@ -45,9 +48,10 @@ and live callers:
 
 The PDP is deliberately sessionless: callers that need §4.1.2 session
 semantics hold a :class:`~repro.core.activation.Session` and talk to
-the engine directly.  Decisions themselves are synchronous CPU work;
-the drain task runs them on the event loop in batches small enough to
-bound added latency (override :meth:`_decide` to offload).
+the engine directly.  Admission, batching and deciding are
+synchronous: :meth:`admit` and :meth:`step` are a plain state machine
+that needs no event loop, and the asyncio shell is one ``call_soon``
+of :meth:`step` per loop iteration that queued work.
 """
 
 from __future__ import annotations
@@ -213,8 +217,10 @@ class _Pending:
     request: AccessRequest
     env_override: Optional[FrozenSet[str]]
     submitted_at: float
-    #: Event-loop deadline (loop.time() based), or None.
+    #: ``time.monotonic()`` deadline, or None.
     deadline: Optional[float]
+    #: How the answer is delivered.
+    callback: Callable[[PDPResponse], None]
     #: Wire correlation id, threaded into the response and any trace.
     request_id: Optional[object] = None
     #: Head-sampled for tracing: decided individually with a full
@@ -227,9 +233,6 @@ class _Pending:
     #: submit originated for a locally sampled request); ``None`` on
     #: untraced traffic.
     trace_ctx: Optional[TraceContext] = None
-    #: How the answer is delivered; ``submit_nowait`` attaches it
-    #: before the loop can run the drain task.
-    callback: Optional[Callable[[PDPResponse], None]] = None
 
     @property
     def trace_id(self) -> str:
@@ -609,11 +612,12 @@ class PolicyDecisionPoint:
             DEFAULT_TENANT: self._default
         }
         #: Admitted, not yet batched requests, oldest first.  Never
-        #: rebound: the drain task holds this very list, so a shed
-        #: empties it in place.
+        #: rebound: a running :meth:`step` holds this very list, so a
+        #: shed empties it in place.
         self._pending: List[_Pending] = []
-        #: The drain task; set only while there is work.
-        self._drainer: Optional["asyncio.Task[None]"] = None
+        #: A ``call_soon`` of :meth:`step` is due, and no step has run
+        #: since it was made.
+        self._step_scheduled = False
         self._accepting = False
         self._started_at: Optional[float] = None
         # Live-ops surfaces (PR 4): sampled trace export, the always-on
@@ -695,7 +699,7 @@ class PolicyDecisionPoint:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> "PolicyDecisionPoint":
-        """Open admission; idempotent.  No task runs until work does."""
+        """Open admission; idempotent.  The PDP owns no task."""
         if self._accepting:
             return self
         self._accepting = True
@@ -707,23 +711,23 @@ class PolicyDecisionPoint:
         return self
 
     async def stop(self, drain: bool = True) -> None:
-        """Close admission and wait for the drain task.
+        """Close admission and settle the pending list; never suspends.
 
         With ``drain=True`` (graceful, the default) every already-
         admitted request is decided first; with ``drain=False`` the
-        pending list is shed with DENY_OVERLOAD and only the batch in
-        flight completes.
+        pending list is shed with DENY_OVERLOAD, and only a batch a
+        running :meth:`step` is already deciding completes.
         """
         if not self.running:
             return
         self._accepting = False
-        if not drain:
+        if drain:
+            self.step()
+        else:
             shed = self._pending[:]
-            self._pending.clear()  # in place: the drain task holds it
+            self._pending.clear()  # in place: a running step holds it
             for item in shed:
                 self._shed(item, "service shutting down")
-        if self._drainer is not None:
-            await self._drainer
         hub = self.observers
         if hub:
             hub.emit("pdp.stop", drained=drain)
@@ -736,8 +740,8 @@ class PolicyDecisionPoint:
 
     @property
     def running(self) -> bool:
-        """Started, and not yet stopped with its work finished."""
-        return self._accepting or self._drainer is not None
+        """Admission is open, or the pending list is not yet empty."""
+        return self._accepting or bool(self._pending)
 
     @property
     def queue_depth(self) -> int:
@@ -1145,40 +1149,43 @@ class PolicyDecisionPoint:
         tenant: Optional[str] = None,
         trace_ctx: Optional[TraceContext] = None,
     ) -> None:
-        """The one completion path: ``callback(response)``.
-
-        Whatever admission can answer on its own — a cache hit, a shed,
-        an unknown tenant — reaches ``callback`` before this returns,
-        with no task, future or queue slot; only a request that has to
-        be mediated waits, and the batcher calls ``callback`` from the
-        flush that decided it.  The callback runs on the event loop and
-        must not raise or block.
+        """:meth:`admit`, plus one ``call_soon`` of :meth:`step` per
+        loop iteration that queued work — the completion path of every
+        caller that does not step the PDP itself.  The callback runs on
+        the event loop and must not raise or block.
 
         :raises ServiceError: when the service is not running.
         """
-        admitted = self._admit(
-            request, environment_roles, timeout, request_id, tenant, trace_ctx
-        )
-        if type(admitted) is PDPResponse:
-            callback(admitted)
-        else:
-            admitted.callback = callback
+        if (
+            self.admit(
+                request, callback, environment_roles, timeout, request_id,
+                tenant, trace_ctx,
+            )
+            and not self._step_scheduled
+        ):
+            self._step_scheduled = True
+            asyncio.get_running_loop().call_soon(self.step)
 
-    def _admit(
+    def admit(
         self,
         request: AccessRequest,
-        environment_roles: Optional[Set[str]],
-        timeout: Optional[float],
-        request_id: Optional[object],
-        tenant: Optional[str],
-        trace_ctx: Optional[TraceContext],
-    ) -> "PDPResponse | _Pending":
-        """The synchronous half of submission.
+        callback: Callable[[PDPResponse], None],
+        environment_roles: Optional[Set[str]] = None,
+        timeout: Optional[float] = None,
+        request_id: Optional[object] = None,
+        tenant: Optional[str] = None,
+        trace_ctx: Optional[TraceContext] = None,
+    ) -> bool:
+        """The synchronous half of submission; needs no event loop.
 
-        Returns the finished response when the request never needs the
-        drain task (unknown tenant, cache hit, full pending list), else
-        the pending :class:`_Pending` — the caller attaches a callback
-        to it before the loop can run the drain task.
+        Whatever admission can answer on its own — a cache hit, a shed,
+        an unknown tenant — reaches ``callback`` before this returns
+        ``False``.  A request that has to be mediated joins the pending
+        list and this returns ``True``: the caller owes the PDP a
+        :meth:`step`, which calls ``callback`` from the batch that
+        decided it.
+
+        :raises ServiceError: when the service is not running.
         """
         if not self._accepting:
             raise ServiceError("PDP is not running (call start())")
@@ -1188,12 +1195,13 @@ class PolicyDecisionPoint:
         resolved = self._resolve_tenant(tenant_name)
         if resolved is None:
             self._m_unknown_tenant.inc()
-            return self._refuse(
+            self._refuse(
                 _Pending(
                     request,
                     env_override=None,
                     submitted_at=submitted,
                     deadline=None,
+                    callback=callback,
                     request_id=request_id,
                     tenant=tenant_name,
                     trace_ctx=trace_ctx,
@@ -1201,6 +1209,7 @@ class PolicyDecisionPoint:
                 PDPOutcome.DENY_UNKNOWN_TENANT,
                 f"unknown tenant {tenant_name!r}",
             )
+            return False
         engine, generation, state = resolved
         state.requests += 1
         override = (
@@ -1255,7 +1264,8 @@ class PolicyDecisionPoint:
                     trace, request, request_id, tenant_name, trace_ctx, None
                 )
             self._observe_response(response)
-            return response
+            callback(response)
+            return False
         if key is None:
             # The cache could never have answered this (constraints,
             # opaque env source, cache disabled) — not a miss; counting
@@ -1270,10 +1280,9 @@ class PolicyDecisionPoint:
             env_override=override,
             submitted_at=submitted,
             deadline=(
-                asyncio.get_running_loop().time() + timeout_s
-                if timeout_s is not None
-                else None
+                time.monotonic() + timeout_s if timeout_s is not None else None
             ),
+            callback=callback,
             request_id=request_id,
             traced=traced,
             tenant=tenant_name,
@@ -1282,42 +1291,32 @@ class PolicyDecisionPoint:
         depth = len(self._pending)
         self._h_queue.observe(float(depth))
         if depth >= self.config.max_queue:
-            return self._shed(pending, "admission queue full")
+            self._shed(pending, "admission queue full")
+            return False
         self._pending.append(pending)
-        if self._drainer is None:
-            self._drainer = asyncio.get_running_loop().create_task(
-                self._drain()
-            )
-        return pending
+        return True
 
     # ------------------------------------------------------------------
     # Batching internals
     # ------------------------------------------------------------------
-    async def _drain(self) -> None:
-        """Decide the pending list in batches until it is empty, then end.
+    def step(self) -> None:
+        """Decide the pending list, at most ``max_batch`` entries per
+        batch, until it is empty.
 
-        Before a partial batch it yields one scheduling pass
-        (``asyncio.sleep(0)``) so every producer that is already
-        runnable joins it; waiting any longer could only collect
-        requests that do not exist yet, which trades real latency for
-        hypothetical batch fill (and stalls closed-loop callers blocked
-        on this very flush).
+        A server connection calls this at the end of every read pass,
+        so the misses of a read are answered in the same write as its
+        cache hits; :meth:`submit_nowait` schedules it for everyone
+        else.  Re-entrant: a batch's callbacks may admit or step.
         """
+        self._step_scheduled = False
         pending = self._pending
         max_batch = self.config.max_batch
-        try:
-            while True:
-                if len(pending) < max_batch:
-                    await asyncio.sleep(0)
-                    if not pending:
-                        return
-                batch = pending[:max_batch]
-                del pending[:max_batch]
-                await self._flush(batch)
-        finally:
-            self._drainer = None
+        while pending:
+            batch = pending[:max_batch]
+            del pending[:max_batch]
+            self._flush(batch)
 
-    async def _flush(self, batch: Sequence[_Pending]) -> None:
+    def _flush(self, batch: Sequence[_Pending]) -> None:
         """Triage one micro-batch and decide it, grouped by tenant.
 
         Deadline triage runs over the whole batch first; survivors are
@@ -1326,8 +1325,7 @@ class PolicyDecisionPoint:
         traffic therefore takes exactly the pre-tenancy path (one
         group, one engine capture, one decide call).
         """
-        loop = asyncio.get_running_loop()
-        now = loop.time()
+        now = time.monotonic()
         groups: Dict[str, List[_Pending]] = {}
         for item in batch:
             if item.deadline is not None and now > item.deadline:
@@ -1341,7 +1339,7 @@ class PolicyDecisionPoint:
             groups.setdefault(item.tenant, []).append(item)
         for tenant, items in groups.items():
             # Capture the group's engine and generation *once*, before
-            # any await: a swap/activate racing with this flush must
+            # deciding: a swap/activate landing inside this flush must
             # not mix decisions from the old engine with cache entries
             # keyed on the new one, or vice versa.
             resolved = self._resolve_tenant(tenant)
@@ -1357,16 +1355,16 @@ class PolicyDecisionPoint:
                     )
                 continue
             engine, generation, state = resolved
-            await self._flush_group(items, engine, generation, state)
+            self._flush_group(items, engine, generation, state)
 
-    async def _flush_group(
+    def _flush_group(
         self,
         live: List[_Pending],
         engine: MediationEngine,
         generation: int,
         state: _TenantState,
     ) -> None:
-        """Decide one same-tenant group and resolve its futures."""
+        """Decide one same-tenant group and answer its callbacks."""
         tenant = state.name
         self._m_batches.inc()
         self._h_batch.observe(float(len(live)))
@@ -1379,7 +1377,7 @@ class PolicyDecisionPoint:
             if plain:
                 for item, decision in zip(
                     plain,
-                    await self._decide(
+                    self._decide(
                         [item.request for item in plain],
                         [item.env_override for item in plain],
                         engine,
@@ -1500,20 +1498,15 @@ class PolicyDecisionPoint:
         if sink is not None:
             sink.offer(trace_to_dict(trace))
 
-    async def _decide(
+    def _decide(
         self,
         requests: Sequence[AccessRequest],
         env_overrides: Sequence[Optional[FrozenSet[str]]],
-        engine: Optional[MediationEngine] = None,
+        engine: MediationEngine,
     ) -> List[Decision]:
-        """Render a batch; overridable to offload to an executor.
-
-        ``engine`` is the snapshot captured at flush start; overrides
-        must decide against it (not ``self.engine``) so a concurrent
-        :meth:`swap_policy` cannot split a batch across two policies.
-        """
-        if engine is None:
-            engine = self.engine
+        """Render a batch on ``engine``, the snapshot captured at flush
+        start — never ``self.engine``, so a :meth:`swap_policy` landing
+        mid-flush cannot split a batch across two policies."""
         if all(env is None for env in env_overrides):
             return engine.decide_batch(requests)
         return engine.decide_batch(
@@ -1523,7 +1516,7 @@ class PolicyDecisionPoint:
             ],
         )
 
-    def _shed(self, item: _Pending, detail: str) -> PDPResponse:
+    def _shed(self, item: _Pending, detail: str) -> None:
         self._m_shed.inc()
         hub = self.observers
         if hub:
@@ -1534,11 +1527,11 @@ class PolicyDecisionPoint:
                 obj=item.request.obj,
                 detail=detail,
             )
-        return self._refuse(item, PDPOutcome.DENY_OVERLOAD, detail)
+        self._refuse(item, PDPOutcome.DENY_OVERLOAD, detail)
 
     def _refuse(
         self, item: _Pending, outcome: PDPOutcome, detail: str
-    ) -> PDPResponse:
+    ) -> None:
         """The one constructor for answers that mediated nothing —
         unknown tenant, timeout, engine error, overload."""
         response = PDPResponse(
@@ -1553,16 +1546,13 @@ class PolicyDecisionPoint:
             trace_id=item.trace_id,
         )
         self._finish(item, response)
-        return response
 
     def _finish(self, item: _Pending, response: PDPResponse) -> None:
         self._observe_response(response)
-        # None only for a refusal inside _admit, whose caller delivers.
-        if item.callback is not None:
-            try:
-                item.callback(response)
-            except Exception:  # noqa: BLE001 - one caller's bug must not stop the batcher
-                self._m_errors.inc()
+        try:
+            item.callback(response)
+        except Exception:  # noqa: BLE001 - one caller's bug must not stop the batcher
+            self._m_errors.inc()
 
     def _observe_response(self, response: PDPResponse) -> None:
         """Feed ``pdp.latency``, the flight recorder, SLO tracker,

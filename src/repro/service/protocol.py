@@ -76,9 +76,14 @@ MAX_LINE_BYTES = 64 * 1024
 MAX_OP_LINE_BYTES = 4 * 1024 * 1024
 
 
+#: One compact encoder for every line: ``json.dumps`` given
+#: ``separators=`` builds a new :class:`json.JSONEncoder` per call.
+_LINE_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def dumps_line(payload: Dict[str, Any]) -> bytes:
     """Serialize one protocol message to a wire line."""
-    return json.dumps(payload, separators=(",", ":")).encode("utf-8") + b"\n"
+    return _LINE_ENCODER.encode(payload).encode("utf-8") + b"\n"
 
 
 def parse_line(
@@ -1030,76 +1035,6 @@ def peek_binary_subscribe(body: bytes) -> bool:
         len(body) > _FLAGS_OFFSET
         and bool(body[_FLAGS_OFFSET] & _FLAG_SUBSCRIBE)
     )
-
-
-def peek_binary_trace(body: bytes) -> Optional[TraceContext]:
-    """The trace context of a KIND_REQUEST body, or ``None``.
-
-    Reads only the flags byte and the trailing trace segment (it is
-    defined to be the last segment), so no tables and no offset walk
-    are needed — the router's per-frame cost for untraced traffic is
-    one byte test.
-
-    :raises ServiceError: flag set but the segment is truncated.
-    """
-    if len(body) <= _FLAGS_OFFSET:
-        return None
-    if not body[_FLAGS_OFFSET] & _FLAG_TRACE:
-        return None
-    if len(body) < _REQUEST_FIXED.size + _TRACE_SEGMENT.size:
-        raise ServiceError("truncated binary trace segment")
-    trace, _ = _unpack_trace(body, len(body) - _TRACE_SEGMENT.size)
-    return trace
-
-
-def splice_binary_trace(body: bytes, trace: TraceContext) -> bytes:
-    """Return ``body`` carrying ``trace`` as its context segment.
-
-    Flips the trace flag and appends (or, for an already-tagged frame,
-    replaces) the trailing trace segment.  Everything else — including
-    env and tenant segments the router never decoded — is untouched,
-    which is what lets the router originate/rewrite context without
-    intern tables.
-
-    :raises ServiceError: on a body too short to carry a flags byte.
-    """
-    if len(body) <= _FLAGS_OFFSET:
-        raise ServiceError("binary request too short to tag with a trace")
-    flags = body[_FLAGS_OFFSET]
-    if flags & _FLAG_TRACE:
-        if len(body) < _REQUEST_FIXED.size + _TRACE_SEGMENT.size:
-            raise ServiceError("truncated binary trace segment")
-        body = body[: len(body) - _TRACE_SEGMENT.size]
-    return (
-        body[:_FLAGS_OFFSET]
-        + bytes([flags | _FLAG_TRACE])
-        + body[_FLAGS_OFFSET + 1 :]
-        + _pack_trace(trace)
-    )
-
-
-def splice_line_trace(line: bytes, trace: TraceContext) -> bytes:
-    """Return an NDJSON request line carrying ``trace``.
-
-    Fast path: the line is a JSON object with no ``trace`` key yet, so
-    the key is spliced in before the closing brace without a parse.
-    Lines that already carry one (a client-originated context being
-    rewritten to name the router's span) take the parse-and-re-encode
-    path.  The returned line is newline-terminated either way.
-
-    :raises ServiceError: when the line is not a JSON object.
-    """
-    stripped = line.rstrip()
-    if not stripped.startswith(b"{") or not stripped.endswith(b"}"):
-        raise ServiceError("NDJSON request line is not a JSON object")
-    addition = f',"trace":"{trace.to_wire()}"}}'.encode("ascii")
-    if b'"trace"' not in stripped:
-        if stripped == b"{}":
-            return b'{"trace":"' + trace.to_wire().encode("ascii") + b'"}\n'
-        return stripped[:-1] + addition + b"\n"
-    payload = parse_line(stripped)
-    payload["trace"] = trace.to_wire()
-    return dumps_line(payload)
 
 
 def encode_unavailable(request_id: Any, detail: str) -> Dict[str, Any]:

@@ -12,25 +12,29 @@ coroutine, task, lock or ``drain()`` per request:
   line, so NDJSON and binary clients (and mixed traffic from one
   client) share a single listener.  Binary requests get binary
   responses, NDJSON requests get NDJSON responses.
-* **in-turn answers** — decisions enter the PDP through its synchronous
-  admission (:meth:`~repro.service.pdp.PolicyDecisionPoint.submit_nowait`):
-  cache hits, sheds and unknown-tenant denies are answered inside the
-  turn that read them; only a request that must be mediated waits for
-  the batcher, which completes it by callback.  Responses carry the
-  request's ``id`` and may therefore overtake one another.
+* **decide on the read pass** — decisions enter the PDP through its
+  synchronous admission (:meth:`~repro.service.pdp.PolicyDecisionPoint.admit`):
+  cache hits, sheds and unknown-tenant denies are answered on the spot;
+  a request that must be mediated joins the pending list, and when the
+  read pass ends the connection calls
+  :meth:`~repro.service.pdp.PolicyDecisionPoint.step`, which decides
+  the pass's misses as one batch.  Every answer to a read therefore
+  leaves in that read's write.  Responses carry the request's ``id``
+  and may overtake one another.
 * **op ordering** — control ops (``intern``, ``env``, ``reload*``,
   ``stats`` …) run to completion where they stand in the stream: no
   later byte of that connection is parsed before the op has answered.
-* **one write per turn** — everything a read (or a batcher flush)
-  answered on a connection leaves in one ``transport.write``.  Pushed
-  revocations are the exception: they are written at the end of the
-  grant-table sweep that produced them, ahead of the reply to whatever
-  caused the flip.
-* **pause-reading backpressure** — the PDP's bounded queue sheds
-  excess decision work explicitly; a peer that does not read its
-  answers stops being *read* once the transport's write buffer passes
-  its high-water mark, so a slow reader throttles only its own
-  connection.
+* **one write per read** — everything a read answered on a connection
+  leaves in one ``transport.write``.  Pushed revocations are the
+  exception: they are written at the end of the grant-table sweep that
+  produced them, ahead of the reply to whatever caused the flip.
+* **pause-reading backpressure** — the PDP's bounded pending list
+  sheds what one read brings beyond ``max_queue`` explicitly; across
+  connections there is no queue to overflow, because a connection is
+  read again only after its last read was decided.  A peer that does
+  not read its answers stops being *read* once the transport's write
+  buffer passes its high-water mark, so a slow reader throttles only
+  its own connection.
 
 The CLI's ``serve`` subcommand (see :mod:`repro.cli`) is a thin
 wrapper over :func:`PDPServer.serve_forever`.
@@ -686,6 +690,9 @@ class _Connection(WireConnection):
     def protocol_error(self, message: str, binary: bool) -> None:
         self._error(None, message, binary)
 
+    def pass_ended(self) -> None:
+        self.pdp.step()
+
     def _error(self, request_id: object, message: str, binary: bool) -> None:
         if binary:
             self.write(encode_binary_error(request_id, message))
@@ -742,7 +749,7 @@ class _Connection(WireConnection):
     ) -> None:
         self._owed += 1
         try:
-            self.pdp.submit_nowait(
+            self.pdp.admit(
                 request,
                 callback,
                 environment_roles=env,

@@ -25,9 +25,10 @@ lock and a ``drain()`` per message for:
   buffer, so they may keep what they are given.  Format detection is
   per message, so both lanes share a socket.
 * **write coalescing** — :meth:`write` only queues; everything queued
-  during one parse pass leaves in a single ``transport.write`` when the
-  pass ends, and anything queued between passes (batcher completions,
-  caller sends) leaves in one write on the next loop iteration.
+  during one parse pass, its :meth:`pass_ended` hook included, leaves
+  in a single ``transport.write`` when the pass ends, and anything
+  queued between passes (a client's sends, a server's answers to no
+  read) leaves in one write on the next loop iteration.
   :meth:`flush` forces the write now — revocation pushes use it so they
   never wait behind the reply that caused them.
 * **backpressure** — when the transport's write buffer passes its
@@ -117,6 +118,10 @@ class WireConnection(asyncio.BufferedProtocol):
         """The stream position is lost (oversized frame or line); the
         connection closes once this returns."""
 
+    def pass_ended(self) -> None:
+        """The read pass has delivered what it could; what this queues
+        still leaves in the pass's one write."""
+
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
@@ -185,9 +190,12 @@ class WireConnection(asyncio.BufferedProtocol):
                 if line:
                     self.line_received(line)
         finally:
-            self._in_pass = False
             self._consumed(min(position, size))
-            self.flush()
+            try:
+                self.pass_ended()
+            finally:
+                self._in_pass = False
+                self.flush()
 
     def _desynced(self, message: str, binary: bool, size: int) -> int:
         self.protocol_error(message, binary)

@@ -1,21 +1,23 @@
-"""Admission and the drain task: every answer exactly once, all observed.
+"""Admission and ``step``: every answer exactly once, all observed.
 
-Admission appends to a pending list that a drain task empties in
-batches; the task exists only while there is work.  The property here
-is written against ``submit_nowait`` callbacks, not ``submit`` results:
-a future silently ignores a second answer, so only a callback count can
-see a request that was answered twice (say, shed by a non-draining
-stop and then decided anyway by a drain task still holding it).
+Admission appends to a pending list that :meth:`step` empties in
+batches; a started PDP owns no task.  The exactly-once property drives
+``admit`` / ``step`` / ``stop`` directly, with no event loop, and is
+written against callbacks, not ``submit`` results: a future silently
+ignores a second answer, so only a callback count can see a request
+that was answered twice (say, shed by a non-draining stop landing
+mid-batch and then decided anyway by the step still holding it).
 """
 
 from __future__ import annotations
 
 import asyncio
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import AccessRequest, MediationEngine
+from repro.exceptions import ServiceError
 from repro.obs.trace import TraceContext
 from repro.service import (
     MEDIATED_OUTCOMES,
@@ -33,27 +35,40 @@ ENVS = [frozenset({"free-time"}), frozenset()]
 ENV = {"free-time"}
 
 
+def run_now(coroutine):
+    """Run a coroutine that never suspends to completion, right here,
+    with no event loop; fails if it would have waited."""
+    try:
+        coroutine.send(None)
+    except StopIteration as done:
+        return done.value
+    coroutine.close()
+    raise AssertionError("the coroutine suspended")
+
+
 def gate_decide(pdp: PolicyDecisionPoint):
     """Route ``pdp._decide`` through a gate and a fault injector.
 
-    Returns ``(gate, faults)``: a cleared ``gate`` parks every batch
-    inside ``_decide``; each unit of ``faults["next"]`` makes one
-    ``_decide`` call raise instead of deciding.
+    Returns ``gate``: every callable appended to ``gate["inside"]`` runs
+    at the start of the next ``_decide`` call — mid-batch, with the
+    batch out of the pending list and unanswered — and each unit of
+    ``gate["faults"]`` makes one ``_decide`` call raise instead of
+    deciding.
     """
-    gate = asyncio.Event()
-    gate.set()
-    faults = {"next": 0}
+    gate = {"inside": [], "faults": 0}
     original = type(pdp)._decide
 
-    async def gated(self, requests, env_overrides, engine=None):
-        await gate.wait()
-        if faults["next"]:
-            faults["next"] -= 1
+    def gated(self, requests, env_overrides, engine=None):
+        inside, gate["inside"] = gate["inside"], []
+        for action in inside:
+            action()
+        if gate["faults"]:
+            gate["faults"] -= 1
             raise RuntimeError("injected engine fault")
-        return await original(self, requests, env_overrides, engine)
+        return original(self, requests, env_overrides, engine)
 
     pdp._decide = gated.__get__(pdp)
-    return gate, faults
+    return gate
 
 
 def only_this_task() -> bool:
@@ -80,8 +95,7 @@ def test_latency_histogram_observes_every_answer(tv_policy) -> None:
             answers.append(await pdp.submit(REQUESTS[0], ENV, timeout=1e-9))
             answers.append(await pdp.submit(REQUESTS[0], ENV, tenant="ghost"))
             # An engine error.
-            _, faults = gate_decide(pdp)
-            faults["next"] = 1
+            gate_decide(pdp)["faults"] = 1
             answers.append(await pdp.submit(REQUESTS[0], ENV))
         return pdp, answers
 
@@ -125,7 +139,7 @@ def test_cache_hit_span_carries_the_tenant(tv_policy) -> None:
 
 
 # ----------------------------------------------------------------------
-# The drain task lives only while there is work
+# A started PDP owns no task: in-process submits are stepped by call_soon
 # ----------------------------------------------------------------------
 def test_started_pdp_owns_no_task_once_a_burst_is_answered(tv_policy) -> None:
     async def scenario():
@@ -137,10 +151,6 @@ def test_started_pdp_owns_no_task_once_a_burst_is_answered(tv_policy) -> None:
             responses = await asyncio.gather(
                 *(pdp.submit(REQUESTS[0], ENV) for _ in range(10))
             )
-            for _ in range(5):  # the drain task's closing pass
-                if only_this_task():
-                    break
-                await asyncio.sleep(0)
             return idle_at_start, only_this_task(), pdp.running, responses
 
     idle_at_start, idle_after, running, responses = asyncio.run(scenario())
@@ -165,22 +175,25 @@ def scenarios(draw):
     max_queue = draw(st.integers(1, 6))
     max_batch = draw(st.integers(1, 4))
     burst = st.lists(submission, max_size=max_queue + max_batch + 1)
-    step = st.one_of(
+    action = st.one_of(
         st.tuples(st.just("burst"), burst),
-        st.tuples(st.just("park"), st.none()),
-        st.tuples(st.just("release"), st.none()),
+        st.tuples(st.just("step"), st.none()),
+        # A burst admitted from inside the next batch's _decide.
+        st.tuples(st.just("nest"), burst),
         st.tuples(st.just("fault"), st.none()),
-        st.tuples(st.just("yield"), st.integers(1, 3)),
     )
-    steps = draw(st.lists(step, max_size=10))
+    actions = draw(st.lists(action, max_size=10))
     return {
         "config": PDPConfig(
             max_queue=max_queue,
             max_batch=max_batch,
             cache_size=draw(st.sampled_from([0, 8])),
         ),
-        "steps": steps,
-        "stop_at": draw(st.integers(0, len(steps))),
+        "actions": actions,
+        "stop_at": draw(st.integers(0, len(actions))),
+        # Stop from inside the next _decide (mid-batch, with a backlog
+        # behind it), or between actions.
+        "stop_inside": draw(st.booleans()),
         "drain": draw(st.booleans()),
     }
 
@@ -192,53 +205,69 @@ def scenarios(draw):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(plan=scenarios())
+# A non-draining stop lands mid-batch with a backlog behind the batch:
+# the stop must empty the very list the running step is slicing.
+@example(
+    plan={
+        "config": PDPConfig(max_queue=6, max_batch=1, cache_size=0),
+        "actions": [("burst", [(0, 0, None, None)] * 3)],
+        "stop_at": 1,
+        "stop_inside": True,
+        "drain": False,
+    }
+)
 def test_every_admitted_request_is_answered_exactly_once(
     tv_policy, plan
 ) -> None:
     reference = MediationEngine(tv_policy)
     submitted = []  # (request, env, answers)
+    pdp = PolicyDecisionPoint(MediationEngine(tv_policy), plan["config"])
+    gate = gate_decide(pdp)
 
-    async def scenario():
-        pdp = PolicyDecisionPoint(MediationEngine(tv_policy), plan["config"])
-        gate, faults = gate_decide(pdp)
-        await pdp.start()
-        for step, arg in plan["steps"][: plan["stop_at"]]:
-            if step == "burst":
-                for request_index, env_index, tenant, timeout in arg:
-                    request, env = REQUESTS[request_index], ENVS[env_index]
-                    answers = []
-                    submitted.append((request, env, answers))
-                    pdp.submit_nowait(
-                        request, answers.append, set(env),
-                        timeout=timeout, tenant=tenant,
-                    )
-            elif step == "park":
-                gate.clear()
-            elif step == "release":
-                gate.set()
-            elif step == "fault":
-                faults["next"] += 1
-            else:
-                for _ in range(arg):
-                    await asyncio.sleep(0)
-        # Stop wherever the plan says — possibly with a batch parked
-        # and a backlog behind it — and only then open the gate.
-        stopper = asyncio.create_task(pdp.stop(drain=plan["drain"]))
-        await asyncio.sleep(0)
-        gate.set()
-        await stopper
-        return pdp, only_this_task()
+    def admit(burst) -> None:
+        for request_index, env_index, tenant, timeout in burst:
+            request, env = REQUESTS[request_index], ENVS[env_index]
+            answers = []
+            submitted.append((request, env, answers))
+            try:
+                pdp.admit(
+                    request, answers.append, set(env),
+                    timeout=timeout, tenant=tenant,
+                )
+            except ServiceError:  # admitted after a nested stop
+                answers.append("refused at the door")
 
-    pdp, idle = asyncio.run(scenario())
+    def stop() -> None:
+        run_now(pdp.stop(drain=plan["drain"]))
+
+    run_now(pdp.start())
+    for action, arg in plan["actions"][: plan["stop_at"]]:
+        if action == "burst":
+            admit(arg)
+        elif action == "step":
+            pdp.step()
+        elif action == "nest":
+            gate["inside"].append(lambda burst=arg: admit(burst))
+        else:
+            gate["faults"] += 1
+    if plan["stop_inside"]:
+        gate["inside"].append(stop)
+        pdp.step()
+    stop()  # a no-op when the nested stop already ran
+
     for request, env, answers in submitted:
         assert len(answers) == 1, f"{request} answered {len(answers)} times"
         (response,) = answers
+        if response == "refused at the door":
+            continue
         if response.outcome in MEDIATED_OUTCOMES:
             expected = reference.decide(request, environment_roles=set(env))
             assert response.decision == expected
             assert response.granted == expected.granted
     stats = pdp.stats()
-    assert stats["requests"] == len(submitted)
+    assert stats["requests"] == sum(
+        answers != ["refused at the door"] for _, _, answers in submitted
+    )
     assert stats["requests"] == (
         stats["decided"]
         + stats["cache_hits"]
@@ -248,4 +277,3 @@ def test_every_admitted_request_is_answered_exactly_once(
         + stats["unknown_tenant"]
     )
     assert pdp.queue_depth == 0 and not pdp.running
-    assert idle  # no task the PDP created outlives stop()

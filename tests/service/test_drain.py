@@ -24,8 +24,6 @@ from repro.service import (
     RemotePDPClient,
 )
 
-from tests.service.test_slow_consumer import eventually, gate_batcher
-
 REQUEST = AccessRequest("watch", "livingroom/tv", subject="alice")
 
 
@@ -75,35 +73,32 @@ def test_inflight_request_answered_during_drain(tv_policy) -> None:
     async def scenario():
         server = make_server(tv_policy)
         pdp = server.pdp
-        # Park the batch inside _decide, so the request is provably in
-        # flight — admitted, out of the pending list, unanswered — when
-        # the shutdown lands.
-        release = gate_batcher(pdp)
+        # The shutdown lands inside _decide, so the request is provably
+        # in flight then — admitted, out of the pending list, unanswered.
+        original = type(pdp)._decide
+        in_flight = []
+
+        def shutting_down(self, requests, env_overrides, engine=None):
+            server.request_shutdown()
+            in_flight.append(not pending.done() and not serving.done())
+            return original(self, requests, env_overrides, engine)
+
+        pdp._decide = shutting_down.__get__(pdp)
         await server.start()
         serving = asyncio.get_running_loop().create_task(
             server.serve_forever()
         )
-        try:
-            client = await RemotePDPClient.connect("127.0.0.1", server.port)
-            pending = asyncio.get_running_loop().create_task(
-                client.decide(REQUEST, environment_roles={"free-time"})
-            )
-            await eventually(
-                lambda: pdp.stats()["requests"] == 1 and not pdp.queue_depth
-            )
-            server.request_shutdown()
-            await asyncio.sleep(0.02)
-            in_flight = not pending.done() and not serving.done()
-            release.set()
-            response = await asyncio.wait_for(pending, timeout=10.0)
-            await client.close()
-            await asyncio.wait_for(serving, timeout=10.0)
-        finally:
-            release.set()
+        client = await RemotePDPClient.connect("127.0.0.1", server.port)
+        pending = asyncio.get_running_loop().create_task(
+            client.decide(REQUEST, environment_roles={"free-time"})
+        )
+        response = await asyncio.wait_for(pending, timeout=10.0)
+        await client.close()
+        await asyncio.wait_for(serving, timeout=10.0)
         return in_flight, response
 
     in_flight, response = asyncio.run(scenario())
-    assert in_flight  # the drain waited for the parked batch
+    assert in_flight == [True]  # decided after the shutdown landed
     assert response.granted is True
 
 

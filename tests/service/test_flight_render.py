@@ -89,7 +89,7 @@ def serve_every_kind(tv_policy):
                 await pdp.submit(GRANT, ENV, tenant="ghost", request_id="ghost")
             )
 
-            async def broken(self, requests, env_overrides, engine=None):
+            def broken(self, requests, env_overrides, engine=None):
                 raise RuntimeError("injected engine fault")
 
             pdp._decide = broken.__get__(pdp)

@@ -257,35 +257,27 @@ def test_submit_requires_running_service(tv_policy) -> None:
 
 
 def test_graceful_drain_decides_everything_admitted(tv_policy) -> None:
-    # Park the batcher so submits pile up, then stop(drain=True): every
-    # admitted request must still get a mediated answer.
+    # Submit without yielding so the pending list fills, then
+    # stop(drain=True) before any step ran: every admitted request must
+    # still get a mediated answer.
     pdp = make_pdp(tv_policy, cache_size=0, max_batch=4)
     request = AccessRequest("watch", "livingroom/tv", subject="alice")
 
     async def scenario():
-        release = asyncio.Event()
-        original = type(pdp)._decide
-
-        async def gated(self, requests, env_overrides, engine=None):
-            await release.wait()
-            return await original(self, requests, env_overrides, engine)
-
-        pdp._decide = gated.__get__(pdp)
+        responses = []
         async with pdp:
-            waiters = [
-                asyncio.create_task(
-                    pdp.submit(request, environment_roles={"free-time"})
+            for _ in range(10):
+                pdp.submit_nowait(
+                    request, responses.append, environment_roles={"free-time"}
                 )
-                for _ in range(10)
-            ]
-            await asyncio.sleep(0)  # let every submit enqueue
-            release.set()
+            assert pdp.queue_depth == 10 and not responses
             # __aexit__ drains: all ten must resolve with real answers.
-        return await asyncio.gather(*waiters)
+        return responses
 
     responses = run(scenario())
     assert len(responses) == 10
     assert all(r.outcome is PDPOutcome.GRANT for r in responses)
+    assert [r.batch_size for r in responses] == [4] * 8 + [2] * 2
 
 
 def test_start_is_idempotent_and_restartable(tv_policy) -> None:
@@ -310,7 +302,7 @@ def test_engine_fault_isolated_to_error_outcome(tv_policy) -> None:
     pdp = make_pdp(tv_policy, cache_size=0)
     request = AccessRequest("watch", "livingroom/tv", subject="alice")
 
-    async def broken(self, requests, env_overrides, engine=None):
+    def broken(self, requests, env_overrides, engine=None):
         raise RuntimeError("engine exploded")
 
     pdp._decide = broken.__get__(pdp)

@@ -204,40 +204,32 @@ def test_every_tenant_door_serves_under_the_deployment_settings() -> None:
 def test_inflight_batch_completes_on_old_policy() -> None:
     """A batch already handed to the engine is decided by *that* engine.
 
-    The batcher is parked inside ``_decide`` (the documented offload
-    hook) while a swap lands; the parked batch must come back with the
-    old policy's answer, and the very next request must see the new
-    policy's.
+    The swap lands inside ``_decide``, with the batch captured and not
+    yet decided; the batch must come back with the old policy's answer,
+    and the very next request must see the new policy's.
     """
     old = build_tv_policy(grant=True)
     new = build_tv_policy(grant=False)
     engine = MediationEngine(old)
     pdp = PolicyDecisionPoint(engine, PDPConfig(cache_size=0))
-    entered = asyncio.Event()
-    release = asyncio.Event()
+    swapped = []
     original = PolicyDecisionPoint._decide
 
-    async def gated(self, requests, env_overrides, engine=None):
-        entered.set()
-        await release.wait()
-        return await original(self, requests, env_overrides, engine)
+    def swapping(self, requests, env_overrides, engine=None):
+        if not swapped:
+            swapped.append(pdp.swap_policy(new))
+        return original(self, requests, env_overrides, engine)
 
-    pdp._decide = gated.__get__(pdp)
+    pdp._decide = swapping.__get__(pdp)
 
     async def scenario():
         async with pdp:
-            inflight = asyncio.create_task(
-                pdp.submit(REQUEST, environment_roles=ENV)
-            )
-            # Wait until the batcher holds the request inside _decide.
-            await asyncio.wait_for(entered.wait(), timeout=2.0)
-            pdp.swap_policy(new)
-            release.set()
-            before = await inflight
+            before = await pdp.submit(REQUEST, environment_roles=ENV)
             after = await pdp.submit(REQUEST, environment_roles=ENV)
         return before, after
 
     before, after = run(scenario())
+    assert swapped and pdp.generation == 1
     assert before.outcome is PDPOutcome.GRANT  # old engine's answer
     assert after.outcome is PDPOutcome.DENY  # new engine's answer
 

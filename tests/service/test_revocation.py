@@ -547,3 +547,57 @@ def test_activation_arming_no_deny_revokes_nothing() -> None:
 
     revocations, standing = asyncio.run(scenario())
     assert revocations == [] and standing == 1
+
+
+def make_unconditioned_server():
+    """An unconditioned ``grant child watch entertainment`` beside
+    ``deny … when bedtime`` (21:00-23:00): at 20:00 no environment
+    role the policy names is active."""
+    runtime = EnvironmentRuntime(start=EVENING)
+    policy = GrbacPolicy()
+    policy.add_subject("bobby")
+    policy.add_subject_role("child")
+    policy.assign_subject("bobby", "child")
+    policy.add_object("den/tv")
+    policy.add_object_role("entertainment")
+    policy.assign_object("den/tv", "entertainment")
+    runtime.define_time_role(policy, "bedtime", time_window("21:00", "23:00"))
+    policy.grant("child", "watch", "entertainment")
+    policy.deny("child", "watch", "entertainment", "bedtime")
+    engine = MediationEngine(policy, runtime.activator)
+    pdp = PolicyDecisionPoint(engine, env_revision=runtime)
+    return PDPServer(pdp, environment=runtime)
+
+
+@pytest.mark.parametrize("wire", ["json", "binary"])
+def test_unconditioned_subscribed_grant_is_watched(wire: str) -> None:
+    """A grant no named environment role supports is still watched: the
+    census always holds ``any-environment``, so the grant is posted
+    under it, and a DENY its policy arms later withdraws it."""
+
+    async def scenario():
+        server = make_unconditioned_server()
+        async with server:
+            client = await RemotePDPClient.connect(
+                "127.0.0.1", server.port, wire=wire
+            )
+            granted = await client.decide(REQUEST, subscribe=True)
+            (watched,) = server.pdp.grants.standing()
+            out = await client.env("advance", seconds=5400)  # 21:30
+            fresh = await client.decide(REQUEST)
+            revocations = list(client.revocations)
+            standing = server.pdp.grants.grants
+            await client.close()
+            return granted, watched, out, fresh, revocations, standing
+
+    granted, watched, out, fresh, revocations, standing = asyncio.run(
+        scenario()
+    )
+    assert granted.outcome is PDPOutcome.GRANT
+    assert watched.roles == frozenset({"any-environment"})
+    assert out["active"] == ["bedtime"]
+    assert fresh.outcome is PDPOutcome.DENY
+    assert standing == 0
+    (revocation,) = revocations
+    assert revocation.id == granted.id
+    assert revocation.roles == ("bedtime",)

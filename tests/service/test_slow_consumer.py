@@ -4,16 +4,15 @@ Backpressure is ``pause_writing -> pause_reading``: a peer that
 pipelines without reading stops being *read* once its answers pile up
 past the transport's high-water mark, so what the server buffers for it
 is bounded by that mark plus the answers to one read — and nobody else
-notices.  A peer that disappears with decisions still queued must cost
-nothing: the batcher's callbacks find the connection gone, write
-nothing, raise nothing and leave no session behind in the grant table.
+notices.  A connection lost while its read is being decided must cost
+nothing: the rest of the batch writes nothing, raises nothing and
+leaves no session behind in the grant table.
 """
 
 from __future__ import annotations
 
 import asyncio
 import socket
-import struct
 import time
 
 import pytest
@@ -112,57 +111,64 @@ def test_unread_pipeline_pauses_its_own_reading_only(tv_policy) -> None:
     assert stats["requests"] == FLOOD + 50 and stats["shed"] == 0
 
 
-def gate_batcher(pdp: PolicyDecisionPoint) -> asyncio.Event:
-    """Park ``pdp``'s batcher inside ``_decide`` until the event is set."""
-    release = asyncio.Event()
+def lose_connection_mid_batch(server: PDPServer, how: str) -> list:
+    """Make the next batch lose the connection it serves before it
+    decides — ``reset``: the transport is aborted; ``fin``: the
+    connection is closed.  Returns the connections lost."""
+    pdp = server.pdp
     original = type(pdp)._decide
+    lost: list = []
 
-    async def gated(self, requests, env_overrides, engine=None):
-        await release.wait()
-        return await original(self, requests, env_overrides, engine)
+    def losing(self, requests, env_overrides, engine=None):
+        if not lost:
+            (connection,) = server._open
+            lost.append(connection)
+            if how == "reset":
+                connection.transport.abort()
+            else:
+                connection.close()
+        return original(self, requests, env_overrides, engine)
 
-    pdp._decide = gated.__get__(pdp)
-    return release
+    pdp._decide = losing.__get__(pdp)
+    return lost
 
 
 @pytest.mark.parametrize("how", ["reset", "fin"])
 def test_disconnect_with_decisions_queued_drops_them_quietly(how: str) -> None:
     async def scenario():
-        _, server = make_live_server(config=PDPConfig(cache_size=0))
+        _, server = make_live_server(
+            config=PDPConfig(cache_size=0, max_batch=8)
+        )
         pdp = server.pdp
-        release = gate_batcher(pdp)
+        lost = lose_connection_mid_batch(server, how)
         async with server:
-            try:  # released inside the server block: stop() drains
-                reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", server.port
-                )
-                for request_id in range(1, 41):
-                    writer.write(dumps_line(encode_request(
-                        LIVE_REQUEST, request_id, subscribe=True
-                    )))
-                await writer.drain()
-                await eventually(lambda: pdp.stats()["requests"] == 40)
-                assert pdp.grants.sessions == 1
-                if how == "reset":  # RST, not FIN: no half-close grace
-                    writer.get_extra_info("socket").setsockopt(
-                        socket.SOL_SOCKET, socket.SO_LINGER,
-                        struct.pack("ii", 1, 0),
-                    )
-                writer.transport.abort()  # gone, 40 decisions still owed
-                await eventually(lambda: pdp.grants.sessions == 0)
-                release.set()
-                await eventually(lambda: pdp.stats()["decided"] == 40)
-                await eventually(lambda: not server._open)
-                # The batcher survived its orphaned callbacks.
-                async with await RemotePDPClient.connect(
-                    "127.0.0.1", server.port
-                ) as client:
-                    after = await client.decide(LIVE_REQUEST)
-                return pdp.stats(), pdp.grants, after
-            finally:
-                release.set()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            # One write, so one read: five batches, the connection lost
+            # inside the first, 40 subscribed decisions still owed.
+            writer.write(b"".join(
+                dumps_line(encode_request(
+                    LIVE_REQUEST, request_id, subscribe=True
+                ))
+                for request_id in range(1, 41)
+            ))
+            try:
+                written = await asyncio.wait_for(reader.read(), 10.0)
+            except ConnectionResetError:
+                written = b""
+            writer.close()
+            await eventually(lambda: not server._open)
+            # The batcher survived its orphaned callbacks.
+            async with await RemotePDPClient.connect(
+                "127.0.0.1", server.port
+            ) as client:
+                after = await client.decide(LIVE_REQUEST)
+            return written, len(lost), pdp.stats(), pdp.grants, after
 
-    stats, grants, after = asyncio.run(scenario())
+    written, lost, stats, grants, after = asyncio.run(scenario())
+    assert lost == 1 and written == b""  # nothing reached the peer
+    assert stats["requests"] == 41 and stats["decided"] == 41
     assert after.outcome is PDPOutcome.GRANT
     assert stats["errors"] == 0
     assert grants.sessions == 0 and grants.grants == 0

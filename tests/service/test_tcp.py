@@ -16,12 +16,16 @@ from repro.service import (
     PolicyDecisionPoint,
     RemotePDPClient,
 )
+from repro.service.pdp import PDPResponse
 from repro.service.protocol import (
     MAX_LINE_BYTES,
+    WireRevocation,
     decode_request,
     decode_response,
     dumps_line,
     encode_request,
+    encode_response,
+    encode_revocation,
     parse_line,
 )
 
@@ -215,6 +219,47 @@ def test_protocol_codec_round_trip() -> None:
     assert decoded == request
     assert env == frozenset({"free-time"})
     assert timeout_s == pytest.approx(0.25)
+
+
+def test_dumps_line_is_compact_json_dumps(tv_policy) -> None:
+    """The shared encoder writes exactly what ``json.dumps`` with
+    compact separators writes, newline-terminated."""
+    request = AccessRequest("watch", "livingroom/tv", subject="alice")
+    decision = MediationEngine(tv_policy).decide(
+        request, environment_roles={"free-time"}
+    )
+    response = PDPResponse(
+        request=request,
+        outcome=PDPOutcome.GRANT,
+        granted=True,
+        decision=decision,
+        batch_size=3,
+        latency_s=0.000123,
+        request_id=7,
+    )
+    revocation = WireRevocation(
+        id=7,
+        subject="zoë",
+        transaction="watch",
+        obj="客厅/tv",
+        roles=("free-time", "in-kitchen-h3"),
+        reason="environment role 'free-time' deactivated",
+        ts=1_700_000_000.123456,
+    )
+    messages = [
+        encode_response(7, response),
+        encode_revocation(revocation),
+        {"op": "stats", "id": 2, "pdp": {"latency": [0.1 + 0.2, 1e-7, 1e300],
+                                          "ratio": float("inf"), "none": None}},
+        {"id": None, "error": "malformed line: Expecting value «»"},
+        encode_request(
+            AccessRequest("watch", "客厅/tv", subject="zoë"), 9,
+            env=frozenset({"fête"}), timeout_ms=2.5,
+        ),
+    ]
+    for message in messages:
+        expected = json.dumps(message, separators=(",", ":"))
+        assert dumps_line(message) == expected.encode("utf-8") + b"\n"
 
 
 def test_protocol_rejects_oversized_and_invalid_lines() -> None:

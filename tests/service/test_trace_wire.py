@@ -1,15 +1,11 @@
 """Trace context on both wire formats.
 
 The compatibility contract is strict: an untraced request encodes to
-the exact bytes the pre-trace protocol produced, on both lanes.  The
-router's hot-path helpers (``peek_binary_trace``, the two splice
-functions) must tag and rewrite frames without intern tables and
-without disturbing the segments they never decoded.
+the exact bytes the pre-trace protocol produced, on both lanes, and a
+traced one round-trips its context beside every other segment.
 """
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -23,16 +19,11 @@ from repro.service.protocol import (
     InternTables,
     decode_binary_request,
     decode_binary_request_ex,
-    decode_request,
     decode_response,
     decode_trace_context,
-    dumps_line,
     encode_binary_request,
     encode_request,
     encode_response,
-    peek_binary_trace,
-    splice_binary_trace,
-    splice_line_trace,
 )
 
 CTX = TraceContext("ab" * 8, "cd" * 8, True)
@@ -76,27 +67,6 @@ class TestLineLane:
         assert tagged["trace_id"] == CTX.trace_id
         assert decode_response(tagged).trace_id == CTX.trace_id
 
-    def test_splice_into_untagged_line(self) -> None:
-        line = dumps_line(encode_request(AccessRequest("watch", "tv", subject="alice"), 9))
-        spliced = splice_line_trace(line, CTX)
-        assert spliced.endswith(b"\n")
-        payload = json.loads(spliced)
-        assert payload["trace"] == CTX.to_wire()
-        assert decode_request(payload)[1].transaction == "watch"
-
-    def test_splice_rewrites_existing_context(self) -> None:
-        line = dumps_line(
-            encode_request(AccessRequest("watch", "tv", subject="alice"), 9, trace=CTX)
-        )
-        rewritten = TraceContext(CTX.trace_id, "ef" * 8, True)
-        payload = json.loads(splice_line_trace(line, rewritten))
-        assert payload["trace"] == rewritten.to_wire()
-
-    def test_splice_rejects_non_object_line(self) -> None:
-        with pytest.raises(ServiceError):
-            splice_line_trace(b"[1, 2]\n", CTX)
-
-
 class TestBinaryLane:
     @pytest.fixture()
     def tables(self, tv_policy) -> InternTables:
@@ -108,11 +78,9 @@ class TestBinaryLane:
 
     def test_untraced_frame_is_byte_identical(self, tables) -> None:
         assert self.encode(tables) == self.encode(tables, trace=None)
-        assert peek_binary_trace(body_of(self.encode(tables))) is None
 
     def test_traced_frame_round_trips(self, tables) -> None:
         body = body_of(self.encode(tables, trace=CTX))
-        assert peek_binary_trace(body) == CTX
         request_id, request, env, timeout_s, tenant, trace = (
             decode_binary_request_ex(tables, body)
         )
@@ -129,7 +97,6 @@ class TestBinaryLane:
                 trace=CTX,
             )
         )
-        assert peek_binary_trace(body) == CTX
         _, _, env, _, tenant, trace = decode_binary_request_ex(tables, body)
         assert env == frozenset({"free-time"})
         assert tenant == "acme"
@@ -142,32 +109,7 @@ class TestBinaryLane:
         )
         assert request_id == 7 and request.subject == "alice"
 
-    def test_splice_tags_untagged_frame(self, tables) -> None:
-        untagged = body_of(self.encode(tables, tenant="acme"))
-        tagged = splice_binary_trace(untagged, CTX)
-        assert peek_binary_trace(tagged) == CTX
-        _, request, _, _, tenant, trace = decode_binary_request_ex(
-            tables, tagged
-        )
-        # The splice never decoded the tenant segment yet preserved it.
-        assert tenant == "acme"
-        assert request.subject == "alice"
-        assert trace == CTX
-
-    def test_splice_replaces_existing_segment(self, tables) -> None:
-        tagged = body_of(self.encode(tables, trace=CTX))
-        rewritten = TraceContext(CTX.trace_id, "ef" * 8, False)
-        replaced = splice_binary_trace(tagged, rewritten)
-        assert peek_binary_trace(replaced) == rewritten
-        assert len(replaced) == len(tagged)
-
     def test_truncated_trace_segment_raises(self, tables) -> None:
         body = body_of(self.encode(tables, trace=CTX))
         with pytest.raises(ServiceError):
-            peek_binary_trace(body[:-3])
-        with pytest.raises(ServiceError):
             decode_binary_request_ex(tables, body[:-3])
-
-    def test_splice_rejects_headerless_body(self) -> None:
-        with pytest.raises(ServiceError):
-            splice_binary_trace(b"\x01", CTX)
